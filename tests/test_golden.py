@@ -1,0 +1,168 @@
+"""Golden sha256 hashes of every CLI output file for fixed configs and seeds.
+
+The file formats are the contract: a refactor must leave these bytes
+unchanged. A change that alters the random draw pattern or a number
+format must update the hashes and say why in CHANGES.md.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+import scipy
+
+from ndsense import cli
+
+# numpy/scipy the hashes were taken with; float formatting and library
+# kernels can differ in the last digit on other versions
+PINNED_WITH = "numpy 2.4.6 / scipy 1.17.1"
+
+README_CFG = {
+    "schema_version": 1,
+    "seed": 42,
+    "medium": {"kind": "brownian", "D_nm2_per_s": 10000.0},
+    "simulate": {"duration_s": 60.0, "dt_s": 0.0096},
+    "tracker": {"enabled": True, "brightness_cps": 2000000.0},
+    "schedule": {"kind": "staircase", "start_C": 24.0, "step_C": 4.0,
+                 "dwell_s": 300.0, "n_levels": 4},
+    "odmr": {"enabled": True, "lam0": 10.0, "kappa_khz_per_C": -60.0},
+    "analysis": {"segment": {"window_steps": 75},
+                 "modulus": {"temperature_C": 25, "radius_nm": 50},
+                 "psd": {"window_s": 28.8},
+                 "force": {"enabled": True}},
+}
+
+CRITERION_13_CFG = {
+    "schema_version": 1, "seed": 131,
+    "medium": {"kind": "brownian", "D_nm2_per_s": 1e4},
+    "simulate": {"duration_s": 20.0},
+    "tracker": {"enabled": True, "brightness_cps": 2e6},
+    "schedule": {"kind": "staircase", "start_C": 0.0, "step_C": 4.0,
+                 "dwell_s": 5.0, "n_levels": 3},
+    "odmr": {"enabled": True, "lam0": 10.0,
+             "kappa_khz_per_C": -60.0, "bin_s": 0.4},
+    "analysis": {"segment": {"window_steps": 75}},
+}
+
+GOLDEN = {
+    "readme": {  # 14 files
+        "allan.csv":
+            "26232c8eb15572a2dc8b1a454a672ba458f00b7c975c668dad8bea765f38f249",
+        "diagnostics.csv":
+            "927b6b8558ec54ef7ef90f5b2900ee0b026ad7332628e925daf9f0dc22613f86",
+        "estimate.csv":
+            "b11aec14a378f0249a87c24b61991c9d655494180114dce72fdc46560f8a4946",
+        "force.csv":
+            "d37aca66a5baa0ae81d960d2878a9c8fa845d919cb931fdd174976ccaf8849d0",
+        "labels.csv":
+            "944f5689059e8194aab9f37a7734ede3bf7f51ca0e2a086dc7de36086e5d6306",
+        "modulus.csv":
+            "eeb2f8719580ab997fbce054eeee5202574e23f1df8bc05296a1a41c030e32ec",
+        "msd.csv":
+            "0de2cf39bd37c57dd24dd16a8bf2ba548e102c7391e8a93352b8a776518fab99",
+        "psd.csv":
+            "3438c8d55fa443ba7194855d255dbd013c703e1e9b45203aeb6ee0ffc5bedee7",
+        "setpoints.csv":
+            "36934d2761eeccbc04946b32db40ad7c4c8b508a7460c7f1223cf65bc5b7d478",
+        "shifts.csv":
+            "1c56bfe925e1a10e4385e7d2618dc187d72f7209c9ae36d73e022281fb05a10a",
+        "summary.json":
+            "890a1c3ec78a4d958befaadb2c23322a9f8b45a8b91e2607d13f540a0291f9b6",
+        "temperature.csv":
+            "006a8e38fbb113c4d9dca1270e1e26ff809e749550ba9948f3adca99608b2caa",
+        "timeline.csv":
+            "1ba230292e4e61ec880d531dd6e06f525eb8cc1b538a8913004661feed72d033",
+        "truth.csv":
+            "b1def8b612ab1d0c795128578ea71ae41fa833d8727920e9d9c2315937841d3f",
+    },
+    "criterion13": {  # 11 files
+        "allan.csv":
+            "8027fbb77599e3dc9d53964f9ad7a85d332386340a89fb227ba864338dfc9e7e",
+        "diagnostics.csv":
+            "234470d54ed6b2a8b6cf5736453551a233243fd191190af3fe3a9117d40455cf",
+        "estimate.csv":
+            "abbaa10bea1a0b32a517414af33167b003a34a29f8aea783ce9cb122ca2f5654",
+        "labels.csv":
+            "7b62dc64c73b725d8f876c81ef91908c88a4c27b54564f269aadaed1b91b8cdd",
+        "msd.csv":
+            "d796cb0644a078e94e8703dae6ffc990267f4cc7a443fa4a2a64571f3cb69b5d",
+        "setpoints.csv":
+            "2186b361df4f21e696fc0f61295c3670c65bb0f214fe7471afdaf39cd1dcd9e4",
+        "shifts.csv":
+            "35f87d51815f530b41a146674050cb4b867bf0e0c515ba4882932d0a3174f14a",
+        "summary.json":
+            "7b9ef7cb1be3e08983524699aa713a8d6ac408822ebb2dd6f8122876fc3b9fe6",
+        "temperature.csv":
+            "2001f8654dd478b84a6d70d1bd2e5ced333d36c0521e73330082a87286727c41",
+        "timeline.csv":
+            "1ba230292e4e61ec880d531dd6e06f525eb8cc1b538a8913004661feed72d033",
+        "truth.csv":
+            "0676bc124f5ba843b5a0a16610ba6cedba2e5b2d01645cc811a52095072094f4",
+    },
+    "small": {  # 4 files
+        "allan.csv":
+            "26232c8eb15572a2dc8b1a454a672ba458f00b7c975c668dad8bea765f38f249",
+        "crb.json":
+            "c3df7d27aa08bc96d256f8a7bda14d890e1d43cf55d4e9698edeb6d8ae56c80d",
+        "gamma_null.csv":
+            "189cb46024b16940826f0e27a38595c99724856403763b068211e3f3c2d047da",
+        "gamma_null.json":
+            "1e34d97490d742fc37130685683ec5a956492c5c987f4003b6c10d434acf7a1f",
+    },
+}
+
+
+def _hashes(out):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.iterdir()) if p.name != "cfg.json"}
+
+
+def _run(argv):
+    assert cli.main(argv) == 0, argv
+
+
+def _simulate_analyze(root, cfg, *extra):
+    out = root / "out"
+    path = root / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    common = ["--config", str(path), "--out-dir", str(out)]
+    _run(["simulate", *common])
+    _run(["analyze", *common, *[a.format(out=out) for a in extra]])
+    return out
+
+
+@pytest.fixture(scope="module")
+def readme_run(tmp_path_factory):
+    return _simulate_analyze(tmp_path_factory.mktemp("readme"), README_CFG,
+                             "--traj", "{out}/estimate.csv",
+                             "--temperature", "{out}/temperature.csv")
+
+
+def _check(name, got):
+    assert got == GOLDEN[name], (
+        f"golden hashes of run {name!r} changed; pinned with {PINNED_WITH}, "
+        f"running numpy {np.__version__} / scipy {scipy.__version__}; "
+        f"got {json.dumps(got, indent=1)}")
+
+
+def test_golden_readme_run(readme_run):
+    _check("readme", _hashes(readme_run))
+
+
+def test_golden_criterion13_run(tmp_path):
+    out = _simulate_analyze(tmp_path, CRITERION_13_CFG,
+                            "--traj", "{out}/truth.csv",
+                            "--temperature", "{out}/temperature.csv",
+                            "--shifts", "{out}/shifts.csv",
+                            "--setpoints", "{out}/setpoints.csv")
+    _check("criterion13", _hashes(out))
+
+
+def test_golden_small_commands(tmp_path, readme_run):
+    out = tmp_path / "out"
+    _run(["crb", "--out-dir", str(out)])
+    _run(["allan", "--input", str(readme_run / "temperature.csv"),
+          "--out-dir", str(out)])
+    _run(["gamma-null", "--out-dir", str(out)])
+    _check("small", _hashes(out))
