@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._table import write_table
+
 __all__ = [
     "RtdCalibration",
     "DutyCycleSchedule",
@@ -198,14 +200,10 @@ def alternating_schedule(base_C: float, delta_C: float = 10.6,
 
 
 def timeline_to_csv(events, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("t_s,channel,state\n")
-        for e in events:
-            fh.write(f"{e.t:.5f},{e.channel},{e.state}\n")
+    write_table(path, [("t_s", [e.t for e in events], "%.5f"),
+                       ("channel", [e.channel for e in events], "%s"),
+                       ("state", [e.state for e in events], "%d")])
 
 
 def setpoints_to_csv(times, temps, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("t_s,T_C\n")
-        for t, T in zip(times, temps):
-            fh.write(f"{t:.6f},{T:.6f}\n")
+    write_table(path, [("t_s", times, "%.6f"), ("T_C", temps, "%.6f")])

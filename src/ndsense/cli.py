@@ -14,25 +14,58 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 
 import numpy as np
 
 from . import chip, media, odmr, rheology, segmentation, tracker
+from ._table import read_table, write_table
+from .constants import celsius_to_kelvin
 from .seeding import substream
 from .trajectory import Trajectory
 
 SCHEMA_VERSION = 1
+_SHIFT_COLUMNS = ("t_s", "delta_f_hz", "sigma_hz")
+# tracker config keys and the TrackerConfig fields they set
+_TRACKER_FIELDS = {"T_orbit_s": "T_orbit", "R_xy_nm": "R_xy", "w_xy_nm": "w_xy",
+                   "R_z_nm": "R_z", "w_z_nm": "w_z", "G": "G", "gain": "gain"}
 
-_TOP_KEYS = {"schema_version", "seed", "medium", "simulate", "tracker",
-             "odmr", "schedule", "analysis"}
+# Allowed keys of each config section, by path; a path ending in "[]" is a
+# list of sections. Parents come first, so they are known to be objects
+# before their children are looked up.
+_SCHEMA = {
+    "config": {"schema_version", "seed", "medium", "simulate", "tracker",
+               "odmr", "schedule", "analysis"},
+    "config.medium": {"kind", "D_nm2_per_s", "eta0_pa_s", "mu_pa_s_per_C",
+                      "T_ref_C", "temperature_C", "radius_nm", "alpha",
+                      "K_alpha"},
+    "config.simulate": {"duration_s", "dt_s", "directed"},
+    "config.simulate.directed[]": {"start_step", "n_steps", "velocity_nm_per_s"},
+    "config.tracker": {"enabled", "brightness_cps", *_TRACKER_FIELDS},
+    "config.odmr": {"enabled", "lam0", "kappa_khz_per_C",
+                    "kappa_sigma_khz_per_C", "bin_s", "duration_s"},
+    "config.schedule": {"kind", "T_C", "start_C", "step_C", "dwell_s",
+                        "n_levels", "base_C", "delta_C", "half_period_s",
+                        "n_cycles", "tau_s"},
+    "config.analysis": {"axes", "max_lag_s", "diffusion", "modulus", "psd",
+                        "force", "segment", "radius_fit"},
+    "config.analysis.diffusion": {"fit_range_s", "through_origin", "single_tau_s"},
+    "config.analysis.modulus": {"temperature_C", "radius_nm"},
+    "config.analysis.psd": {"window_s"},
+    "config.analysis.force": {"enabled"},
+    "config.analysis.segment": {"window_steps", "confidence", "min_length_nm"},
+    "config.analysis.radius_fit": {"temps_C"},
+}
 
 
 class ConfigError(Exception):
     """Invalid configuration; maps to exit code 1."""
 
 
-def _check_keys(d: dict, allowed, path: str) -> None:
-    unknown = set(d) - set(allowed)
+def _check_keys(d, allowed, path: str) -> None:
+    if not isinstance(d, dict):
+        raise ConfigError(f"{path} must be a JSON object")
+    unknown = set(d) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) in {path}: {', '.join(sorted(unknown))}")
 
@@ -53,9 +86,12 @@ def load_config(path: str | None) -> dict:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a JSON object")
-    _check_keys(cfg, _TOP_KEYS, "config")
+    for where, allowed in _SCHEMA.items():
+        section = cfg
+        for key in where.removesuffix("[]").split(".")[1:]:
+            section = section.get(key, {})
+        for item in (section or ()) if where.endswith("[]") else [section]:
+            _check_keys(item, allowed, where)
     version = _need(cfg, "schema_version", "config")
     if version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version} "
@@ -86,9 +122,6 @@ def _write_json(obj: dict, path: str) -> None:
 # ---------------------------------------------------------------- simulate
 
 def _build_schedule(cfg: dict):
-    _check_keys(cfg, {"kind", "T_C", "start_C", "step_C", "dwell_s",
-                      "n_levels", "base_C", "delta_C", "half_period_s",
-                      "n_cycles", "tau_s"}, "schedule")
     kind = _need(cfg, "kind", "schedule")
     tau = cfg.get("tau_s", chip.DEFAULT_RAMP_TAU_S)
     if kind == "constant":
@@ -114,10 +147,6 @@ def _build_schedule(cfg: dict):
 def _simulate_truth(cfg: dict, seed: int) -> Trajectory:
     med = _need(cfg, "medium", "config")
     sim = _need(cfg, "simulate", "config")
-    _check_keys(med, {"kind", "D_nm2_per_s", "eta0_pa_s", "mu_pa_s_per_C",
-                      "T_ref_C", "temperature_C", "radius_nm", "alpha",
-                      "K_alpha"}, "medium")
-    _check_keys(sim, {"duration_s", "dt_s", "directed"}, "simulate")
     duration = float(_need(sim, "duration_s", "simulate"))
     dt = float(sim.get("dt_s", 9.6e-3))
     if duration <= 0 or dt <= 0:
@@ -132,14 +161,10 @@ def _simulate_truth(cfg: dict, seed: int) -> Trajectory:
         traj = media.simulate_brownian(d_val, n_steps, dt, rng)
         meta["D_nm2_per_s"] = d_val
     elif kind == "viscous":
-        model = media.ViscousMediumModel(
-            eta0=float(_need(med, "eta0_pa_s", "medium")),
-            mu=float(_need(med, "mu_pa_s_per_C", "medium")),
-            T_ref=float(_need(med, "T_ref_C", "medium")))
         temp = float(_need(med, "temperature_C", "medium"))
         radius = float(_need(med, "radius_nm", "medium"))
-        eta = media.viscosity_at(model, temp)
-        d_val = media.stokes_einstein_D(temp + 273.15, radius, eta)
+        eta = media.viscosity_at(_viscous_model(med), temp)
+        d_val = media.stokes_einstein_D(celsius_to_kelvin(temp), radius, eta)
         traj = media.simulate_brownian(d_val, n_steps, dt, rng)
         meta.update(D_nm2_per_s=d_val, temperature_C=temp, radius_nm=radius)
     elif kind == "viscoelastic":
@@ -150,34 +175,21 @@ def _simulate_truth(cfg: dict, seed: int) -> Trajectory:
     else:
         raise ConfigError(f"unknown medium kind: {kind}")
 
-    for key, val in meta.items():
-        traj.meta[key] = val
+    traj.meta.update(meta)
 
-    directed = sim.get("directed", [])
-    if directed:
-        specs = []
-        for i, d in enumerate(directed):
-            _check_keys(d, {"start_step", "n_steps", "velocity_nm_per_s"},
-                        f"simulate.directed[{i}]")
-            specs.append(media.DirectedSegmentSpec(
-                start=int(_need(d, "start_step", "directed")),
-                duration=int(_need(d, "n_steps", "directed")),
-                velocity=tuple(_need(d, "velocity_nm_per_s", "directed"))))
-        traj = media.inject_directed(traj, specs)
-    return traj
+    specs = [media.DirectedSegmentSpec(
+        start=int(_need(d, "start_step", "directed")),
+        duration=int(_need(d, "n_steps", "directed")),
+        velocity=tuple(_need(d, "velocity_nm_per_s", "directed")))
+        for d in sim.get("directed") or []]
+    return media.inject_directed(traj, specs) if specs else traj
 
 
-def _tracker_config(cfg: dict) -> tracker.TrackerConfig:
-    _check_keys(cfg, {"enabled", "brightness_cps", "T_orbit_s", "R_xy_nm",
-                      "w_xy_nm", "R_z_nm", "w_z_nm", "G", "gain"}, "tracker")
-    return tracker.TrackerConfig(
-        T_orbit=cfg.get("T_orbit_s", 9.6e-3),
-        R_xy=cfg.get("R_xy_nm", 50.0),
-        w_xy=cfg.get("w_xy_nm", 260.0),
-        R_z=cfg.get("R_z_nm", 200.0),
-        w_z=cfg.get("w_z_nm", 200.0),
-        G=cfg.get("G", 0.0),
-        gain=cfg.get("gain", 1.0))
+def _viscous_model(med: dict) -> media.ViscousMediumModel:
+    return media.ViscousMediumModel(
+        eta0=float(_need(med, "eta0_pa_s", "medium")),
+        mu=float(_need(med, "mu_pa_s_per_C", "medium")),
+        T_ref=float(_need(med, "T_ref_C", "medium")))
 
 
 def cmd_simulate(args) -> int:
@@ -188,22 +200,17 @@ def cmd_simulate(args) -> int:
     truth = _simulate_truth(cfg, seed)
 
     tr_cfg = cfg.get("tracker", {})
-    track_enabled = tr_cfg.get("enabled", False)
-    tcfg = _tracker_config(tr_cfg) if tr_cfg else None
-
+    # keys left out take the TrackerConfig defaults
+    tcfg = tracker.TrackerConfig(**{field: tr_cfg[key] for key, field
+                                    in _TRACKER_FIELDS.items() if key in tr_cfg})
     od_cfg = cfg.get("odmr", {})
-    _check_keys(od_cfg, {"enabled", "lam0", "kappa_khz_per_C",
-                         "kappa_sigma_khz_per_C", "bin_s", "duration_s"},
-                "odmr")
-    odmr_enabled = od_cfg.get("enabled", False)
-
     schedule = _build_schedule(cfg["schedule"]) if "schedule" in cfg else None
 
     # validation done; now write outputs
     truth.to_csv(os.path.join(out, "truth.csv"))
     written = ["truth.csv"]
 
-    if track_enabled:
+    if tr_cfg.get("enabled", False):
         brightness = float(tr_cfg.get("brightness_cps", 2e6))
         est, diag = tracker.track(truth, tcfg, brightness,
                                   substream(seed, "tracker-photons"))
@@ -221,7 +228,7 @@ def cmd_simulate(args) -> int:
         chip.timeline_to_csv(events, os.path.join(out, "timeline.csv"))
         written += ["setpoints.csv", "timeline.csv"]
 
-    if odmr_enabled:
+    if od_cfg.get("enabled", False):
         kappa = float(od_cfg.get("kappa_khz_per_C",
                                  odmr.DEFAULT_KAPPA_KHZ_PER_C))
         kappa_sigma = float(od_cfg.get("kappa_sigma_khz_per_C", 0.4))
@@ -236,16 +243,13 @@ def cmd_simulate(args) -> int:
             def shift_of_t(t):
                 return kappa * 1e3 * (np.interp(t, times, temps) - base)
         else:
-            def shift_of_t(t):
-                return 0.0
-        shape = odmr.default_lineshape()
+            shift_of_t = None  # no schedule: zero true shift
         series = odmr.simulate_shift_series(
-            shape, lam0, duration, substream(seed, "odmr-photons"),
+            odmr.default_lineshape(), lam0, duration, substream(seed, "odmr-photons"),
             delta_f_of_t=shift_of_t, bin_s=float(od_cfg.get("bin_s", 0.4)))
-        with open(os.path.join(out, "shifts.csv"), "w", newline="") as fh:
-            fh.write("t_s,delta_f_hz,sigma_hz\n")
-            for t, df, sg in zip(series.times, series.delta_f, series.sigma):
-                fh.write(f"{t:.6f},{df:.6f},{sg:.6f}\n")
+        write_table(os.path.join(out, "shifts.csv"),
+                    [(name, col, "%.6f") for name, col in zip(
+                        _SHIFT_COLUMNS, (series.times, series.delta_f, series.sigma))])
         cal = odmr.KappaCalibration(kappa_khz_per_C=kappa,
                                     sigma_khz_per_C=kappa_sigma)
         temps_series = odmr.shift_series_to_temperature(series, cal)
@@ -258,30 +262,15 @@ def cmd_simulate(args) -> int:
 
 # ----------------------------------------------------------------- analyze
 
-def _analysis_cfg(cfg: dict) -> dict:
-    an = cfg.get("analysis", {})
-    _check_keys(an, {"axes", "max_lag_s", "diffusion", "modulus", "psd",
-                     "force", "segment", "radius_fit"}, "analysis")
-    for sub, keys in (("diffusion", {"fit_range_s", "through_origin",
-                                     "single_tau_s"}),
-                      ("modulus", {"temperature_C", "radius_nm"}),
-                      ("psd", {"window_s"}),
-                      ("force", {"enabled"}),
-                      ("segment", {"window_steps", "confidence",
-                                   "min_length_nm"}),
-                      ("radius_fit", {"temps_C"})):
-        if sub in an:
-            _check_keys(an[sub], keys, f"analysis.{sub}")
-    return an
-
-
-def _load_traj(path: str) -> Trajectory:
+def _read_input(reader, path, *args):
+    """Read one input table; an unreadable or malformed file is a config error."""
     try:
-        return Trajectory.from_csv(path)
+        return reader(path, *args)
     except OSError as exc:
-        raise ConfigError(f"cannot read trajectory: {exc}") from exc
+        raise ConfigError(f"cannot read input: {exc}") from exc
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        msg = str(exc)
+        raise ConfigError(msg if msg.startswith(path) else f"{path}: {msg}") from exc
 
 
 def _fit_D(traj: Trajectory, an: dict, axes: str):
@@ -291,23 +280,38 @@ def _fit_D(traj: Trajectory, an: dict, axes: str):
     lags = np.arange(1, min(max_lag, traj.points.shape[0] - 1) + 1)
     curve = rheology.msd(traj, axes=axes, lags=lags)
     fit_range = dcfg.get("fit_range_s")
-    single = dcfg.get("single_tau_s")
     fit = rheology.fit_diffusion(
         curve,
         fit_range=tuple(fit_range) if fit_range else None,
         through_origin=dcfg.get("through_origin", False),
-        single_tau=single)
+        single_tau=dcfg.get("single_tau_s"))
     return curve, fit
+
+
+def _allan(series, out: str):
+    """Allan deviation of a temperature series, also written to allan.csv."""
+    dt_s = float(np.median(np.diff(series.times))) if series.times.size > 1 else 0.4
+    taus, adev = odmr.allan_deviation(series.dT_C, dt_s)
+    write_table(os.path.join(out, "allan.csv"),
+                [("tau_s", taus, "%.6f"), ("adev_C", adev, "%.6e")])
+    return taus, adev
 
 
 def cmd_analyze(args) -> int:
     cfg = load_config(args.config)
-    an = _analysis_cfg(cfg)
+    an = cfg.get("analysis", {})
     axes = an.get("axes", "xy")
-    out = _out_dir(args)
     if not args.traj:
         raise ConfigError("analyze needs at least one --traj file")
-    trajs = [_load_traj(p) for p in args.traj]
+    # every input is read before the first output is written
+    trajs = [_read_input(Trajectory.from_csv, p) for p in args.traj]
+    temperature = (_read_input(odmr.TemperatureSeries.from_csv, args.temperature)
+                   if args.temperature else None)
+    kappa_inputs = None
+    if args.shifts and args.setpoints:
+        kappa_inputs = (_read_input(read_table, args.shifts, _SHIFT_COLUMNS)[1],
+                        _read_input(read_table, args.setpoints, ("t_s", "T_C"))[1])
+    out = _out_dir(args)
 
     summary: dict = {"n_trajectories": len(trajs)}
     traj = trajs[0]
@@ -325,28 +329,24 @@ def cmd_analyze(args) -> int:
     except ValueError:
         pass
 
+    # the force split needs the modulus
+    force_on = "modulus" in an and an.get("force", {}).get("enabled", False)
     if "modulus" in an:
         mcfg = an["modulus"]
-        t_k = float(_need(mcfg, "temperature_C", "analysis.modulus")) + 273.15
+        t_k = celsius_to_kelvin(float(_need(mcfg, "temperature_C", "analysis.modulus")))
         r_nm = float(_need(mcfg, "radius_nm", "analysis.modulus"))
         mod = rheology.complex_modulus(curve, t_k, r_nm)
         mod.to_csv(os.path.join(out, "modulus.csv"))
-        if "psd" in an or an.get("force", {}).get("enabled", False):
-            window = an.get("psd", {}).get("window_s", 28.8)
-            spec = rheology.psd(traj, axes=axes, window_s=window)
-            spec.to_csv(os.path.join(out, "psd.csv"))
-            summary["psd_at_40hz_nm2_per_hz"] = spec.value_at(40.0) \
-                if spec.freqs.max() >= 40.0 else None
-            if an.get("force", {}).get("enabled", False):
-                force = rheology.external_force_spectrum(spec, mod, r_nm, t_k)
-                force.to_csv(os.path.join(out, "force.csv"))
-                summary["force_clipped_points"] = int(force.clipped.sum())
-    elif "psd" in an:
-        window = an["psd"].get("window_s", 28.8)
+    if "psd" in an or force_on:
+        window = an.get("psd", {}).get("window_s", 28.8)
         spec = rheology.psd(traj, axes=axes, window_s=window)
         spec.to_csv(os.path.join(out, "psd.csv"))
         summary["psd_at_40hz_nm2_per_hz"] = spec.value_at(40.0) \
             if spec.freqs.max() >= 40.0 else None
+        if force_on:
+            force = rheology.external_force_spectrum(spec, mod, r_nm, t_k)
+            force.to_csv(os.path.join(out, "force.csv"))
+            summary["force_clipped_points"] = int(force.clipped.sum())
 
     if "segment" in an:
         scfg = an["segment"]
@@ -361,10 +361,7 @@ def cmd_analyze(args) -> int:
         classes = segmentation.class_exponents(traj, labels, axes=axes)
         segmentation.labels_to_csv(labels,
                                    os.path.join(out, "labels.csv"))
-        counts: dict = {}
-        for lab in labels:
-            counts[lab.cls] = counts.get(lab.cls, 0) + 1
-        summary["segments"] = counts
+        summary["segments"] = dict(Counter(lab.cls for lab in labels))
         summary["critical_gamma"] = null.critical_gamma
         summary["class_alpha"] = {
             name: {"mean": st.mean, "sd": st.sd, "n": st.n_segments,
@@ -376,49 +373,33 @@ def cmd_analyze(args) -> int:
         if temps is None:
             temps = [t.meta.get("temperature_C") for t in trajs]
         if all(t is not None for t in temps):
-            med_cfg = cfg.get("medium", {})
             try:
-                model = media.ViscousMediumModel(
-                    eta0=float(_need(med_cfg, "eta0_pa_s", "medium")),
-                    mu=float(_need(med_cfg, "mu_pa_s_per_C", "medium")),
-                    T_ref=float(_need(med_cfg, "T_ref_C", "medium")))
+                model = _viscous_model(cfg.get("medium", {}))
             except ConfigError:
                 model = None
             if model is not None:
-                pairs = []
-                sigmas = []
-                for t, temp in zip(trajs, temps):
-                    _, fit = _fit_D(t, an, axes)
-                    pairs.append((float(temp), fit.D))
-                    sigmas.append(fit.sigma if np.isfinite(fit.sigma)
-                                  and fit.sigma > 0 else None)
-                sig = None if any(s is None for s in sigmas) else sigmas
-                rfit = rheology.fit_hydrodynamic_radius(pairs, model,
-                                                        sigma_D=sig)
+                fits = [_fit_D(t, an, axes)[1] for t, _ in zip(trajs, temps)]
+                pairs = [(float(temp), fit.D) for temp, fit in zip(temps, fits)]
+                sig = [fit.sigma for fit in fits]
+                if not all(np.isfinite(s) and s > 0 for s in sig):
+                    sig = None
+                rfit = rheology.fit_hydrodynamic_radius(pairs, model, sigma_D=sig)
                 summary["r_hydro_nm"] = [rfit.r_nm, rfit.sigma_nm]
 
-    if args.temperature:
-        series = odmr.TemperatureSeries.from_csv(args.temperature)
-        dt_s = float(np.median(np.diff(series.times))) if series.times.size > 1 else 0.4
-        taus, adev = odmr.allan_deviation(series.dT_C, dt_s)
-        with open(os.path.join(out, "allan.csv"), "w", newline="") as fh:
-            fh.write("tau_s,adev_C\n")
-            for t, a in zip(taus, adev):
-                fh.write(f"{t:.6f},{a:.6e}\n")
+    if temperature is not None:
+        taus, adev = _allan(temperature, out)
         if (adev > 0).any():
             summary["sensitivity_C_per_sqrtHz"] = odmr.allan_sensitivity(taus, adev)
 
-    if args.shifts and args.setpoints:
-        shift_rows = np.genfromtxt(args.shifts, delimiter=",", names=True)
-        sp_rows = np.genfromtxt(args.setpoints, delimiter=",", names=True)
-        levels = np.interp(shift_rows["t_s"], sp_rows["t_s"], sp_rows["T_C"])
+    if kappa_inputs is not None:
+        (shift_t, delta_f, sigma), (sp_t, sp_T) = kappa_inputs
+        levels = np.interp(shift_t, sp_t, sp_T)
         # snap to the nearest commanded level so scatter during ramps
         # does not smear the staircase groups
-        targets = np.unique(np.round(sp_rows["T_C"], 1))
+        targets = np.unique(np.round(sp_T, 1))
         snapped = targets[np.argmin(np.abs(levels[:, None] - targets[None, :]),
                                     axis=1)]
-        cal = odmr.calibrate_kappa(snapped, shift_rows["delta_f_hz"],
-                                   sigma_hz=shift_rows["sigma_hz"])
+        cal = odmr.calibrate_kappa(snapped, delta_f, sigma_hz=sigma)
         summary["kappa_khz_per_C"] = [cal.kappa_khz_per_C, cal.sigma_khz_per_C]
 
     _write_json(summary, os.path.join(out, "summary.json"))
@@ -429,36 +410,26 @@ def cmd_analyze(args) -> int:
 # ------------------------------------------------------- small subcommands
 
 def cmd_crb(args) -> int:
-    cfg = load_config(args.config)
-    od = cfg.get("odmr", {})
-    _check_keys(od, {"enabled", "lam0", "kappa_khz_per_C",
-                     "kappa_sigma_khz_per_C", "bin_s", "duration_s"}, "odmr")
+    od = load_config(args.config).get("odmr", {})
     lam0 = float(od.get("lam0", odmr.DEFAULT_PHOTON_BUDGET))
     kappa = float(od.get("kappa_khz_per_C", odmr.DEFAULT_KAPPA_KHZ_PER_C))
     shape = odmr.default_lineshape()
     sens = odmr.crb_temperature_sensitivity(shape, lam0, kappa)
     per_scan = odmr.shift_bound_per_scan(shape, lam0)
-    out = _out_dir(args)
     result = {"sensitivity_C_per_sqrtHz": sens,
               "shift_sigma_hz_per_scan": per_scan,
               "lam0": lam0, "kappa_khz_per_C": kappa}
-    _write_json(result, os.path.join(out, "crb.json"))
+    _write_json(result, os.path.join(_out_dir(args), "crb.json"))
     print(f"CRB sensitivity: {sens:.3f} C/sqrt(Hz) "
           f"(shift bound {per_scan / 1e3:.1f} kHz/scan)")
     return 0
 
 
 def cmd_allan(args) -> int:
-    series = odmr.TemperatureSeries.from_csv(args.input)
+    series = _read_input(odmr.TemperatureSeries.from_csv, args.input)
     if series.times.size < 3:
         raise ConfigError("temperature series too short for Allan analysis")
-    dt_s = float(np.median(np.diff(series.times)))
-    taus, adev = odmr.allan_deviation(series.dT_C, dt_s)
-    out = _out_dir(args)
-    with open(os.path.join(out, "allan.csv"), "w", newline="") as fh:
-        fh.write("tau_s,adev_C\n")
-        for t, a in zip(taus, adev):
-            fh.write(f"{t:.6f},{a:.6e}\n")
+    taus, adev = _allan(series, _out_dir(args))
     if (adev > 0).all():
         sens = odmr.allan_sensitivity(taus, adev)
         print(f"Allan sensitivity: {sens:.3f} C/sqrt(Hz)")
@@ -471,10 +442,8 @@ def cmd_gamma_null(args) -> int:
     null = segmentation.gamma_null(N=args.n, M=args.m,
                                    confidence=args.confidence)
     out = _out_dir(args)
-    with open(os.path.join(out, "gamma_null.csv"), "w", newline="") as fh:
-        fh.write("gamma,pdf\n")
-        for g, p in zip(null.gammas, null.pdf):
-            fh.write(f"{g:.6f},{p:.6e}\n")
+    write_table(os.path.join(out, "gamma_null.csv"),
+                [("gamma", null.gammas, "%.6f"), ("pdf", null.pdf, "%.6e")])
     _write_json({"N": null.N, "M": null.M, "confidence": null.confidence,
                  "critical_gamma": null.critical_gamma},
                 os.path.join(out, "gamma_null.json"))

@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .._table import read_table, write_table
 from ..seeding import as_generator
 
 __all__ = [
@@ -74,26 +75,12 @@ class TemperatureSeries:
             raise ValueError("times, dT_C and sigma_C must share one shape")
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("t_s,dT_C,sigma_C\n")
-            for t, d, s in zip(self.times, self.dT_C, self.sigma_C):
-                fh.write(f"{t:.6f},{d:.6f},{s:.6f}\n")
+        write_table(path, [("t_s", self.times, "%.6f"), ("dT_C", self.dT_C, "%.6f"),
+                           ("sigma_C", self.sigma_C, "%.6f")])
 
     @classmethod
     def from_csv(cls, path) -> "TemperatureSeries":
-        rows = []
-        with open(path) as fh:
-            header = fh.readline().strip()
-            if header != "t_s,dT_C,sigma_C":
-                raise ValueError(f"unexpected temperature header: {header}")
-            for line in fh:
-                line = line.strip()
-                if line:
-                    rows.append([float(v) for v in line.split(",")])
-        if not rows:
-            raise ValueError("no temperature rows found")
-        arr = np.asarray(rows)
-        return cls(times=arr[:, 0], dT_C=arr[:, 1], sigma_C=arr[:, 2])
+        return cls(*read_table(path, ("t_s", "dT_C", "sigma_C"))[1])
 
 
 def shift_series_to_temperature(series, cal: KappaCalibration) -> TemperatureSeries:

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize_scalar
 
+from .._table import read_table, write_table
 from ..seeding import as_generator
 from .lineshape import Lineshape
 
@@ -184,44 +185,33 @@ def scans_to_csv(scans, path) -> None:
     """Write scans in long format: `scan_id,f_hz,counts`."""
     if isinstance(scans, OdmrScan):
         scans = [scans]
-    with open(path, "w", newline="") as fh:
-        fh.write("scan_id,f_hz,counts\n")
-        for i, s in enumerate(scans):
-            for f, c in zip(s.freqs, s.counts):
-                fh.write(f"{i},{f:.6f},{int(c)}\n")
+    write_table(path, [
+        ("scan_id", np.repeat(np.arange(len(scans)), [s.freqs.size for s in scans]), "%d"),
+        ("f_hz", np.concatenate([s.freqs for s in scans]), "%.6f"),
+        ("counts", np.concatenate([s.counts for s in scans]), "%d")])
 
 
 def scans_from_csv(path) -> list:
-    """Read `scan_id,f_hz,counts` long format or blank-line-separated blocks."""
-    blocks: dict = {}
-    order: list = []
+    """Read `scan_id,f_hz,counts` long format or blank-line-separated
+    `f_hz,counts` blocks, one scan per block."""
     with open(path) as fh:
-        header = fh.readline().strip()
-        long_format = header.startswith("scan_id")
-        if not long_format and header != "f_hz,counts":
-            raise ValueError(f"unexpected ODMR header: {header}")
-        block_id = 0
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                block_id += 1
-                continue
-            parts = line.split(",")
-            try:
-                if long_format:
-                    sid = int(parts[0])
-                    f, c = float(parts[1]), int(float(parts[2]))
-                else:
-                    sid = block_id
-                    f, c = float(parts[0]), int(float(parts[1]))
-            except (ValueError, IndexError) as exc:
-                raise ValueError(f"bad ODMR row at line {lineno}: {line}") from exc
-            if sid not in blocks:
-                blocks[sid] = ([], [])
-                order.append(sid)
-            blocks[sid][0].append(f)
-            blocks[sid][1].append(c)
-    if not blocks:
-        raise ValueError("no ODMR data rows found")
-    return [OdmrScan(freqs=np.array(blocks[sid][0]),
-                     counts=np.array(blocks[sid][1])) for sid in order]
+        if fh.readline().strip() == "f_hz,counts":
+            blocks = [[]]
+            for lineno, line in enumerate(fh, start=2):
+                line = line.strip()
+                if not line:
+                    blocks.append([])
+                    continue
+                try:
+                    f, c = line.split(",")
+                    blocks[-1].append((float(f), int(float(c))))
+                except ValueError:
+                    raise ValueError(f"{path}: line {lineno}: bad ODMR row {line!r}") from None
+            scans = [OdmrScan(freqs=np.array([f for f, _ in b]),
+                              counts=np.array([c for _, c in b])) for b in blocks if b]
+            if not scans:
+                raise ValueError(f"{path}: no data rows")
+            return scans
+    _, (ids, freqs, counts) = read_table(path, ("scan_id", "f_hz", "counts"))
+    return [OdmrScan(freqs=freqs[ids == i], counts=counts[ids == i].astype(int))
+            for i in dict.fromkeys(ids.tolist())]

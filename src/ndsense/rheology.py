@@ -14,7 +14,8 @@ import numpy as np
 from scipy import signal as _signal
 from scipy.special import gamma as _gamma_fn
 
-from .constants import BOLTZMANN_J_PER_K, _NM_SCALE
+from ._table import read_table, write_table
+from .constants import BOLTZMANN_J_PER_K, _NM_SCALE, celsius_to_kelvin
 from .media import ViscousMediumModel, viscosity_at
 from .trajectory import Trajectory, axes_to_indices
 
@@ -68,38 +69,15 @@ class MsdCurve:
         return len(self.dims)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("#schema=1\n")
-            fh.write(f"#dims={self.dims}\n")
-            fh.write(f"#dt_s={self.dt!r}\n")
-            fh.write("tau_s,msd_nm2,var_nm4,k\n")
-            for t, m, v, k in zip(self.taus, self.msd, self.var, self.n_samples):
-                fh.write(f"{t:.6e},{m:.6e},{v:.6e},{k:d}\n")
+        write_table(path, [("tau_s", self.taus, "%.6e"), ("msd_nm2", self.msd, "%.6e"),
+                           ("var_nm4", self.var, "%.6e"), ("k", self.n_samples, "%d")],
+                    meta=[("schema", 1), ("dims", self.dims), ("dt_s", self.dt)])
 
     @classmethod
     def from_csv(cls, path) -> "MsdCurve":
-        meta = {}
-        rows = []
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    key, _, val = line[1:].partition("=")
-                    meta[key] = val
-                    continue
-                if line.startswith("tau_s"):
-                    if line != "tau_s,msd_nm2,var_nm4,k":
-                        raise ValueError(f"unexpected MSD header: {line}")
-                    continue
-                rows.append([float(v) for v in line.split(",")])
-        if not rows:
-            raise ValueError("no MSD rows found")
-        arr = np.asarray(rows)
-        return cls(taus=arr[:, 0], msd=arr[:, 1], var=arr[:, 2],
-                   dims=meta.get("dims", "xy"), n_samples=arr[:, 3].astype(int),
-                   dt=float(meta.get("dt_s", arr[0, 0])), meta=meta)
+        meta, (taus, msd, var, k) = read_table(path, ("tau_s", "msd_nm2", "var_nm4", "k"))
+        return cls(taus=taus, msd=msd, var=var, dims=meta.get("dims", "xy"),
+                   n_samples=k, dt=float(meta.get("dt_s", taus[0])), meta=meta)
 
 
 @dataclass
@@ -116,11 +94,10 @@ class ComplexModulus:
     meta: dict = field(default_factory=dict)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("f_hz,g_abs_pa,g_prime_pa,g_dprime_pa,alpha\n")
-            for f, ga, gp, gd, al in zip(self.freqs, self.G_abs, self.G_prime,
-                                         self.G_dprime, self.alpha_local):
-                fh.write(f"{f:.6e},{ga:.6e},{gp:.6e},{gd:.6e},{al:.6f}\n")
+        write_table(path, [("f_hz", self.freqs, "%.6e"), ("g_abs_pa", self.G_abs, "%.6e"),
+                           ("g_prime_pa", self.G_prime, "%.6e"),
+                           ("g_dprime_pa", self.G_dprime, "%.6e"),
+                           ("alpha", self.alpha_local, "%.6f")])
 
 
 @dataclass
@@ -140,10 +117,8 @@ class PsdCurve:
                                       np.log(np.maximum(self.values[pos], 1e-300)))))
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("f_hz,psd_nm2_per_hz\n")
-            for f, v in zip(self.freqs, self.values):
-                fh.write(f"{f:.6e},{v:.6e}\n")
+        write_table(path, [("f_hz", self.freqs, "%.6e"),
+                           ("psd_nm2_per_hz", self.values, "%.6e")])
 
 
 @dataclass
@@ -159,10 +134,9 @@ class ForceSpectrum:
     meta: dict = field(default_factory=dict)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("omega_rad_s,thermal,external\n")
-            for w, t, e in zip(self.omegas, self.thermal, self.external):
-                fh.write(f"{w:.6e},{t:.6e},{e:.6e}\n")
+        write_table(path, [("omega_rad_s", self.omegas, "%.6e"),
+                           ("thermal", self.thermal, "%.6e"),
+                           ("external", self.external, "%.6e")])
 
 
 @dataclass(frozen=True)
@@ -500,7 +474,7 @@ def fit_hydrodynamic_radius(pairs, medium: ViscousMediumModel,
         raise ValueError("need at least 3 temperature points")
     t_c = arr[:, 0]
     d = arr[:, 1]
-    t_k = t_c + 273.15
+    t_k = celsius_to_kelvin(t_c)
     eta = np.array([viscosity_at(medium, t) for t in t_c])
     c = BOLTZMANN_J_PER_K * t_k * _NM_SCALE / (6.0 * np.pi * eta)  # = D * r
     if sigma_D is None:

@@ -16,6 +16,7 @@ from scipy.special import gamma as _gamma_fn
 from scipy.stats import nct as _nct
 
 from . import rheology
+from ._table import read_table, write_table
 from .trajectory import Trajectory
 
 __all__ = [
@@ -33,6 +34,7 @@ __all__ = [
 
 DEFAULT_WINDOW_STEPS = 75
 DEFAULT_MIN_LENGTH_NM = 500.0
+_LABEL_COLUMNS = ("start_idx", "end_idx", "gamma", "class", "displacement_nm", "alpha")
 
 
 @dataclass
@@ -266,30 +268,17 @@ def class_exponents(traj: Trajectory, labels, axes: str = "xy",
 
 
 def labels_to_csv(labels, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("start_idx,end_idx,gamma,class,displacement_nm,alpha\n")
-        for lab in labels:
-            alpha = "" if lab.alpha is None else f"{lab.alpha:.6f}"
-            fh.write(f"{lab.start_idx},{lab.end_idx},{lab.gamma:.6f},"
-                     f"{lab.cls},{lab.displacement_nm:.6f},{alpha}\n")
+    write_table(path, [
+        ("start_idx", [lab.start_idx for lab in labels], "%d"),
+        ("end_idx", [lab.end_idx for lab in labels], "%d"),
+        ("gamma", [lab.gamma for lab in labels], "%.6f"),
+        ("class", [lab.cls for lab in labels], "%s"),
+        ("displacement_nm", [lab.displacement_nm for lab in labels], "%.6f"),
+        ("alpha", ["" if lab.alpha is None else "%.6f" % lab.alpha for lab in labels], "%s")])
 
 
 def labels_from_csv(path) -> list:
-    labels = []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "start_idx,end_idx,gamma,class,displacement_nm,alpha":
-            raise ValueError(f"unexpected labels header: {header}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 6:
-                raise ValueError(f"bad labels row at line {lineno}: {line}")
-            labels.append(SegmentLabel(
-                start_idx=int(parts[0]), end_idx=int(parts[1]),
-                gamma=float(parts[2]), cls=parts[3],
-                displacement_nm=float(parts[4]),
-                alpha=None if parts[5] == "" else float(parts[5])))
-    return labels
+    _, cols = read_table(path, _LABEL_COLUMNS, text=("class", "alpha"))
+    return [SegmentLabel(start_idx=int(start), end_idx=int(end), gamma=float(gamma), cls=cls,
+                         displacement_nm=float(disp), alpha=None if alpha == "" else float(alpha))
+            for start, end, gamma, cls, disp, alpha in zip(*cols)]

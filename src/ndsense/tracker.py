@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._table import write_table
 from .seeding import as_generator
 from .trajectory import Trajectory
 
@@ -188,10 +189,8 @@ class TrackDiagnostics:
     lock_lost_at: int        # update index where loss was declared, or -1
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("t_s,err_nm,locked\n")
-            for t, e, l in zip(self.times, self.residual_nm, self.locked):
-                fh.write(f"{t:.6f},{e:.6f},{int(l)}\n")
+        write_table(path, [("t_s", self.times, "%.6f"), ("err_nm", self.residual_nm, "%.6f"),
+                           ("locked", self.locked, "%d")])
 
 
 def track(truth: Trajectory, cfg: TrackerConfig, brightness: float, seed,

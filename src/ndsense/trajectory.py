@@ -10,11 +10,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._table import read_table, write_table
+
 __all__ = ["Trajectory"]
 
 _AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
 
 CSV_SCHEMA = 1
+_COLUMNS = ("t_s", "x_nm", "y_nm", "z_nm")
 
 
 def axes_to_indices(axes: str) -> list[int]:
@@ -85,54 +88,20 @@ class Trajectory:
         return Trajectory(self.dt, pts.copy(), t0=self.t0 + start * self.dt, meta=dict(self.meta))
 
     def to_csv(self, path) -> None:
-        t = self.times
-        with open(path, "w", newline="") as fh:
-            fh.write(f"#schema={CSV_SCHEMA}\n")
-            fh.write(f"#dt_s={self.dt!r}\n")
-            fh.write(f"#t0_s={self.t0!r}\n")
-            for key in sorted(self.meta):
-                fh.write(f"#{key}={self.meta[key]}\n")
-            fh.write("t_s,x_nm,y_nm,z_nm\n")
-            for i in range(len(self)):
-                x, y, z = self.points[i]
-                fh.write(f"{t[i]:.6f},{x:.6f},{y:.6f},{z:.6f}\n")
+        write_table(path, [(name, col, "%.6f")
+                           for name, col in zip(_COLUMNS, (self.times, *self.points.T))],
+                    meta=[("schema", CSV_SCHEMA), ("dt_s", self.dt), ("t0_s", self.t0),
+                          *sorted(self.meta.items())])
 
     @classmethod
     def from_csv(cls, path) -> "Trajectory":
-        meta: dict = {}
-        rows = []
-        header_seen = False
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    if "=" in line:
-                        key, val = line[1:].split("=", 1)
-                        meta[key] = val
-                    continue
-                if not header_seen:
-                    if line != "t_s,x_nm,y_nm,z_nm":
-                        raise ValueError(f"{path}: line {lineno}: unexpected header {line!r}")
-                    header_seen = True
-                    continue
-                parts = line.split(",")
-                if len(parts) != 4:
-                    raise ValueError(f"{path}: line {lineno}: expected 4 columns, got {len(parts)}")
-                try:
-                    rows.append([float(p) for p in parts])
-                except ValueError:
-                    raise ValueError(f"{path}: line {lineno}: non-numeric field") from None
-        if not rows:
-            raise ValueError(f"{path}: no data rows")
-        arr = np.asarray(rows)
+        meta, (t, *xyz) = read_table(path, _COLUMNS)
         if "dt_s" in meta:
             dt = float(meta.pop("dt_s"))
-        elif arr.shape[0] >= 2:
-            dt = float(arr[1, 0] - arr[0, 0])
+        elif t.size >= 2:
+            dt = float(t[1] - t[0])
         else:
             raise ValueError(f"{path}: cannot infer dt from a single row")
-        t0 = float(meta.pop("t0_s", arr[0, 0]))
+        t0 = float(meta.pop("t0_s", t[0]))
         meta.pop("schema", None)
-        return cls(dt=dt, points=arr[:, 1:4], t0=t0, meta=meta)
+        return cls(dt=dt, points=np.column_stack(xyz), t0=t0, meta=meta)

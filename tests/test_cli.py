@@ -259,6 +259,25 @@ def test_analyze_kappa_calibration(tmp_path, odmr_run):
     assert 0.0 < sigma < 10.0
 
 
+def test_analyze_bad_input_table_exits_1_before_writing(tmp_path, odmr_run, capsys):
+    cfg = write_config(tmp_path / "cfg.json", {"schema_version": 1, "seed": 1})
+    lines = (odmr_run / "shifts.csv").read_text().splitlines()
+    lines[3] = lines[3].rsplit(",", 1)[0]  # drop the sigma field of one row
+    shifts = tmp_path / "shifts.csv"
+    shifts.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    base = ["analyze", "--config", cfg, "--traj", str(odmr_run / "truth.csv"),
+            "--out-dir", str(out)]
+    assert cli.main(base + ["--shifts", str(shifts),
+                            "--setpoints", str(odmr_run / "setpoints.csv")]) == 1
+    assert f"{shifts}: line 4: expected 3 columns" in capsys.readouterr().err
+    assert not (out / "msd.csv").exists()
+    assert cli.main(base + ["--temperature", str(tmp_path / "missing.csv")]) == 1
+    assert not (out / "msd.csv").exists()
+    assert cli.main(["allan", "--input", str(shifts), "--out-dir", str(out)]) == 1
+    assert "unexpected header" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------- small commands
 
 def test_crb_command(tmp_path, capsys):

@@ -103,8 +103,9 @@ def test_msd_axes_sum():
     np.testing.assert_allclose(xy.msd, x.msd + y.msd, rtol=1e-12)
 
 
-def test_msd_csv_roundtrip(tmp_path):
-    traj = random_walk(n=100, seed=8)
+@pytest.mark.parametrize("dt", [0.1, np.float64(0.1)], ids=["float", "numpy-float64"])
+def test_msd_csv_roundtrip(tmp_path, dt):
+    traj = random_walk(n=100, dt=dt, seed=8)
     curve = rheology.msd(traj, axes="xy", lags=[1, 2, 4, 8])
     path = tmp_path / "msd.csv"
     curve.to_csv(path)

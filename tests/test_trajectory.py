@@ -55,8 +55,9 @@ def test_slice():
         traj.slice(0, 1)
 
 
-def test_csv_roundtrip(tmp_path):
-    traj = make_traj(n=7, dt=0.25, t0=0.5)
+@pytest.mark.parametrize("dt", [0.25, np.float64(0.25)], ids=["float", "numpy-float64"])
+def test_csv_roundtrip(tmp_path, dt):
+    traj = make_traj(n=7, dt=dt, t0=0.5)
     path = tmp_path / "traj.csv"
     traj.to_csv(path)
     back = Trajectory.from_csv(path)
