@@ -7,6 +7,8 @@ inputs give byte-identical files.
 
 from __future__ import annotations
 
+from array import array
+
 import numpy as np
 
 
@@ -31,7 +33,8 @@ def read_table(path, names, text=()):
     header = ",".join(names)
     keep = {i for i, name in enumerate(names) if name in text}
     meta: dict = {}
-    rows = []
+    # all-numeric tables fill one flat buffer: no Python list per row
+    rows = [] if keep else array("d")
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -53,13 +56,16 @@ def read_table(path, names, text=()):
                 raise ValueError(f"{path}: line {lineno}: expected {len(names)} "
                                  f"columns, got {len(parts)}")
             try:
-                # the all-numeric branch keeps long trajectory reads fast
-                rows.append([float(p) for p in parts] if not keep else
-                            [p if i in keep else float(p) for i, p in enumerate(parts)])
+                if keep:
+                    rows.append([p if i in keep else float(p) for i, p in enumerate(parts)])
+                else:
+                    rows.extend(map(float, parts))
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: non-numeric field") from None
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    table = np.array(rows, dtype=object if keep else float).T
+    if not keep:
+        return meta, list(np.frombuffer(rows).reshape(-1, len(names)).T)
+    table = np.array(rows, dtype=object).T
     return meta, [col.tolist() if i in keep else col.astype(float, copy=False)
                   for i, col in enumerate(table)]

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import gamma as _gamma_fn
 from scipy.stats import nct as _nct
 
@@ -105,6 +106,21 @@ def directionality_ratio(window: np.ndarray) -> float:
     return float(np.linalg.norm(w[-1] - w[0]) / path)
 
 
+def _window_gammas(pos: np.ndarray, n_steps: int) -> np.ndarray:
+    """directionality_ratio of every stride-1 window of `n_steps` steps.
+
+    Bit for bit the per-window oracle: path lengths are window sums of the
+    step norms, displacements the norms of pos[i + N] - pos[i].
+    """
+    path = sliding_window_view(np.linalg.norm(np.diff(pos, axis=0), axis=1),
+                               n_steps).sum(axis=1)
+    ends = pos[n_steps:] - pos[:-n_steps]
+    disp = np.sqrt((ends[:, None, :] @ ends[:, :, None]).ravel())
+    gammas = np.full(path.size, np.nan)
+    np.divide(disp, path, out=gammas, where=path != 0.0)
+    return gammas
+
+
 @dataclass
 class SegmentLabel:
     """One labeled index span of a trajectory (positions start..end inclusive)."""
@@ -139,9 +155,7 @@ def segment(traj: Trajectory, null: GammaNull, axes: str = "xy",
         raise ValueError("trajectory shorter than one window")
 
     n_windows = n_pos - n_w
-    gammas = np.empty(n_windows)
-    for i in range(n_windows):
-        gammas[i] = directionality_ratio(pos[i:i + n_w + 1])
+    gammas = _window_gammas(pos, n_w)
     supra = gammas > null.critical_gamma  # NaN compares False
 
     # merge supra windows whose index spans overlap

@@ -18,6 +18,9 @@ _AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
 
 CSV_SCHEMA = 1
 _COLUMNS = ("t_s", "x_nm", "y_nm", "z_nm")
+# t_s is written as %.6f, so each time lies within 5e-7 s of its grid
+# point; a t0 and dt inferred from the rounded rows add at most 1e-6 s
+_T_TOL_S = 1.5e-6
 
 
 def axes_to_indices(axes: str) -> list[int]:
@@ -99,9 +102,25 @@ class Trajectory:
         if "dt_s" in meta:
             dt = float(meta.pop("dt_s"))
         elif t.size >= 2:
-            dt = float(t[1] - t[0])
+            dt = float(t[-1] - t[0]) / (t.size - 1)
         else:
             raise ValueError(f"{path}: cannot infer dt from a single row")
         t0 = float(meta.pop("t0_s", t[0]))
         meta.pop("schema", None)
+        _check_times(path, t, t0, dt)
         return cls(dt=dt, points=np.column_stack(xyz), t0=t0, meta=meta)
+
+
+def _check_times(path, t: np.ndarray, t0: float, dt: float) -> None:
+    """Reject a ``t_s`` column that is not the written ``t0 + k*dt`` grid."""
+    back = np.flatnonzero(np.diff(t) <= 0)
+    if back.size:
+        i = int(back[0]) + 1
+        raise ValueError(f"{path}: t_s must increase strictly; sample {i} "
+                         f"({float(t[i])} s) follows {float(t[i - 1])} s")
+    off = np.abs(t - (t0 + dt * np.arange(t.size)))
+    bad = np.flatnonzero(off > _T_TOL_S + 1e-15 * np.abs(t))  # and round-off of large t
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"{path}: t_s is off the t0 + k*dt grid (t0={t0!r} s, "
+                         f"dt={dt!r} s) by {off[i]:.3g} s at sample {i}")

@@ -278,6 +278,19 @@ def test_analyze_bad_input_table_exits_1_before_writing(tmp_path, odmr_run, caps
     assert "unexpected header" in capsys.readouterr().err
 
 
+def test_analyze_rejects_off_grid_timestamps(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", {"schema_version": 1, "seed": 1})
+    traj = tmp_path / "traj.csv"
+    Trajectory(dt=0.01, points=np.zeros((200, 3))).to_csv(traj)
+    text = traj.read_text().replace("\n0.500000,", "\n0.503000,")
+    traj.write_text(text)
+    out = tmp_path / "out"
+    assert cli.main(["analyze", "--config", cfg, "--traj", str(traj),
+                     "--out-dir", str(out)]) == 1
+    assert f"{traj}: t_s is off the t0 + k*dt grid" in capsys.readouterr().err
+    assert not (out / "msd.csv").exists()
+
+
 # ---------------------------------------------------------- small commands
 
 def test_crb_command(tmp_path, capsys):

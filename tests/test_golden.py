@@ -68,7 +68,7 @@ GOLDEN = {
         "shifts.csv":
             "1c56bfe925e1a10e4385e7d2618dc187d72f7209c9ae36d73e022281fb05a10a",
         "summary.json":
-            "890a1c3ec78a4d958befaadb2c23322a9f8b45a8b91e2607d13f540a0291f9b6",
+            "94c54962299b935d73aeb0a12401033963ede7b6b3cd5840277f1fed04243ed2",
         "temperature.csv":
             "006a8e38fbb113c4d9dca1270e1e26ff809e749550ba9948f3adca99608b2caa",
         "timeline.csv":
@@ -92,7 +92,7 @@ GOLDEN = {
         "shifts.csv":
             "35f87d51815f530b41a146674050cb4b867bf0e0c515ba4882932d0a3174f14a",
         "summary.json":
-            "7b9ef7cb1be3e08983524699aa713a8d6ac408822ebb2dd6f8122876fc3b9fe6",
+            "18d5b6d68b444f0104f8227c0997fcdf6e329bbcfcc87df2e5b020539c99ed23",
         "temperature.csv":
             "2001f8654dd478b84a6d70d1bd2e5ced333d36c0521e73330082a87286727c41",
         "timeline.csv":
@@ -109,6 +109,23 @@ GOLDEN = {
             "189cb46024b16940826f0e27a38595c99724856403763b068211e3f3c2d047da",
         "gamma_null.json":
             "1e34d97490d742fc37130685683ec5a956492c5c987f4003b6c10d434acf7a1f",
+    },
+}
+
+
+# summary.json numbers as the per-lag loop MSD computed them, before the
+# FFT kernels; those kernels move them only by float round-off
+SUMMARY_NUMBERS = {
+    "readme": {
+        "D_nm2_per_s": [10989.900360277274, 121.04022311455489],
+        "alpha": [1.078655260989162, 0.011319906837422723],
+        "class_alpha": {"directed": (1.1783163275554087, 0.0929384694444174),
+                        "non-directed": (1.0696928039394773, 0.0499257412583185)},
+    },
+    "criterion13": {
+        "D_nm2_per_s": [9041.331107871498, 154.77308475702975],
+        "alpha": [0.9754524371021652, 0.015291863904833995],
+        "class_alpha": {"non-directed": (0.9908759766572932, 0.0)},
     },
 }
 
@@ -150,13 +167,30 @@ def test_golden_readme_run(readme_run):
     _check("readme", _hashes(readme_run))
 
 
-def test_golden_criterion13_run(tmp_path):
-    out = _simulate_analyze(tmp_path, CRITERION_13_CFG,
-                            "--traj", "{out}/truth.csv",
-                            "--temperature", "{out}/temperature.csv",
-                            "--shifts", "{out}/shifts.csv",
-                            "--setpoints", "{out}/setpoints.csv")
-    _check("criterion13", _hashes(out))
+@pytest.fixture(scope="module")
+def criterion13_run(tmp_path_factory):
+    return _simulate_analyze(tmp_path_factory.mktemp("criterion13"), CRITERION_13_CFG,
+                             "--traj", "{out}/truth.csv",
+                             "--temperature", "{out}/temperature.csv",
+                             "--shifts", "{out}/shifts.csv",
+                             "--setpoints", "{out}/setpoints.csv")
+
+
+def test_golden_criterion13_run(criterion13_run):
+    _check("criterion13", _hashes(criterion13_run))
+
+
+@pytest.mark.parametrize("name", ["readme", "criterion13"])
+def test_summary_numbers_match_loop_msd(name, request):
+    with open(request.getfixturevalue(f"{name}_run") / "summary.json") as fh:
+        got = json.load(fh)
+    want = SUMMARY_NUMBERS[name]
+    for key in ("D_nm2_per_s", "alpha"):
+        assert got[key] == pytest.approx(want[key], rel=1e-10), key
+    assert set(got["class_alpha"]) == set(want["class_alpha"])
+    for cls, (mean, sd) in want["class_alpha"].items():
+        assert got["class_alpha"][cls]["mean"] == pytest.approx(mean, rel=1e-10), cls
+        assert got["class_alpha"][cls]["sd"] == pytest.approx(sd, rel=1e-10), cls
 
 
 def test_golden_small_commands(tmp_path, readme_run):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gamma as gamma_fn
 
 from ndsense import media, rheology
@@ -55,6 +57,49 @@ def test_msd_variance_forms_match_naive():
         assert cov.var[0] == pytest.approx(naive_cov_variance(xi, lag), rel=1e-10)
         assert printed.var[0] == pytest.approx(naive_printed_variance(xi, lag),
                                                rel=1e-10)
+
+
+@st.composite
+def walks_and_lags(draw):
+    """A Gaussian random walk of 2..2,000 points, possibly drifting, and a
+    random lag set that always holds the last lag, n - 1."""
+    n = draw(st.integers(2, 2000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    drift = draw(st.sampled_from([0.0, 0.2, 5.0]))
+    pts = np.cumsum(scale * rng.normal(drift, 1.0, size=(n, 3)), axis=0)
+    lags = draw(st.lists(st.integers(1, n - 1), max_size=8))
+    return Trajectory(dt=0.01, points=pts), sorted({*lags, n - 1})
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=walks_and_lags())
+def test_fft_msd_matches_naive(case):
+    traj, lags = case
+    x = traj.points[:, 0]
+    n = x.size
+    curve = rheology.msd(traj, axes="x", lags=lags, variance="none",
+                         noise_floor_nm2=0.0)
+    energy = float(np.sum((x - x.mean()) ** 2))
+    for lag, got in zip(lags, curve.msd):
+        want = naive_msd(x, lag)
+        if lag <= max(n // 4, 1):  # the default lag grid's range
+            assert got == pytest.approx(want, rel=1e-12)
+        # FFT round-off scales with the whole axis, not with the few pairs
+        # left near lag n - 1
+        assert abs(got - want) <= 1e-13 * energy / (n - lag)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=walks_and_lags())
+def test_fft_cov_variance_matches_naive(case):
+    traj, lags = case
+    x = traj.points[:, 0]
+    curve = rheology.msd(traj, axes="x", lags=lags, variance="cov",
+                         noise_floor_nm2=0.0)
+    for lag, got in zip(lags, curve.var):
+        assert got == pytest.approx(naive_cov_variance(x[lag:] - x[:-lag], lag),
+                                    rel=1e-10)
 
 
 def test_msd_printed_form_biased_high():

@@ -67,6 +67,19 @@ def test_directionality_ratio():
         segmentation.directionality_ratio(np.zeros((1, 2)))
 
 
+def test_window_gammas_match_directionality_ratio_bit_for_bit():
+    # a walk with a directed run and a frozen stretch of 100 positions:
+    # the 25 windows inside it have no path length and score NaN
+    pos = brownian_with_run(seed=29, n=1500, start=600, duration=200).axis("xy")
+    pos[1000:1100] = pos[1000]
+    n_w = NULL.N
+    want = np.array([segmentation.directionality_ratio(pos[i:i + n_w + 1])
+                     for i in range(len(pos) - n_w)])
+    got = segmentation._window_gammas(pos, n_w)
+    assert np.isnan(want).sum() == 25
+    assert np.array_equal(got, want, equal_nan=True)
+
+
 def brownian_with_run(seed=11, n=3000, D=1e4, dt=9.6e-3,
                       start=2800, duration=200, speed=900.0):
     # the run sits at the end of the trajectory: positions after a

@@ -90,3 +90,35 @@ def test_from_csv_errors(tmp_path):
     empty.write_text("t_s,x_nm,y_nm,z_nm\n")
     with pytest.raises(ValueError, match="no data"):
         Trajectory.from_csv(empty)
+
+
+def _with_time(lines, row, value):
+    """Copy of CSV ``lines`` with the t_s field of data row ``row`` replaced."""
+    at = lines.index("t_s,x_nm,y_nm,z_nm") + 1 + row
+    fields = lines[at].split(",")
+    out = list(lines)
+    out[at] = ",".join([value, *fields[1:]])
+    return "\n".join(out) + "\n"
+
+
+def test_from_csv_checks_timestamps(tmp_path):
+    path = tmp_path / "traj.csv"
+    make_traj(n=6, dt=0.25, t0=0.5).to_csv(path)
+    lines = path.read_text().splitlines()
+
+    path.write_text(_with_time(lines, 3, "1.000000"))  # repeats sample 2
+    with pytest.raises(ValueError, match=r"traj\.csv: t_s must increase strictly; sample 3"):
+        Trajectory.from_csv(path)
+    path.write_text(_with_time(lines, 4, "1.500002"))  # 2e-6 s late
+    with pytest.raises(ValueError, match=r"traj\.csv: t_s is off the t0 \+ k\*dt grid"):
+        Trajectory.from_csv(path)
+    path.write_text(_with_time(lines, 4, "1.500001"))  # within the rounding of %.6f
+    assert Trajectory.from_csv(path).dt == 0.25
+
+    # without dt_s and t0_s the grid comes from the rounded rows: a long
+    # trajectory at a dt with no exact six-decimal form still passes
+    long = tmp_path / "long.csv"
+    Trajectory(dt=1 / 3, points=np.zeros((5000, 3))).to_csv(long)
+    long.write_text("".join(line for line in long.read_text().splitlines(True)
+                            if not line.startswith("#")))
+    assert Trajectory.from_csv(long).dt == pytest.approx(1 / 3, abs=1e-9)
