@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from ndsense import cli
+from ndsense import chip, cli
 from ndsense.trajectory import Trajectory
 
 
@@ -83,6 +83,30 @@ def test_simulate_odmr_outputs(odmr_run):
     lines = (odmr_run / "shifts.csv").read_text().splitlines()
     assert lines[0] == "t_s,delta_f_hz,sigma_hz"
     assert len(lines) == 1 + int(180.0 / 0.4)
+
+
+@pytest.mark.parametrize("schedule, duration, built", [
+    ({"kind": "constant", "T_C": 25.0}, 60.0,
+     lambda: chip.TemperatureSchedule(steps=((0.0, 25.0),))),
+    ({"kind": "alternating", "base_C": 20.0, "delta_C": 5.0,
+      "half_period_s": 30.0, "n_cycles": 3, "tau_s": 4.0}, 200.0,
+     lambda: chip.alternating_schedule(base_C=20.0, delta_C=5.0, half_period_s=30.0,
+                                       n_cycles=3, tau_s=4.0)),
+    # keys left out take the chip module's defaults
+    ({"kind": "alternating", "base_C": 20.0}, 4000.0,
+     lambda: chip.alternating_schedule(base_C=20.0)),
+    ({"kind": "staircase", "start_C": 24.0}, 4000.0,
+     lambda: chip.staircase_schedule(start_C=24.0)),
+], ids=["constant", "alternating", "alternating-defaults", "staircase-defaults"])
+def test_simulate_schedule_kinds(tmp_path, schedule, duration, built):
+    cfg = brownian_cfg(duration=duration, schedule=schedule)
+    cfg["simulate"]["dt_s"] = 10.0
+    path = write_config(tmp_path / "cfg.json", cfg)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", path, "--out-dir", str(out)]) == 0
+    times, temps = chip.setpoint_series(built(), dt=1.0, duration=duration)
+    chip.setpoints_to_csv(times, temps, tmp_path / "want.csv")
+    assert (out / "setpoints.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def test_simulate_seed_flag_overrides_config(tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi as chi_dist
 
 from ndsense import media, segmentation
@@ -119,6 +121,52 @@ def test_segment_labels_partition_trajectory():
     assert labels[-1].end_idx == len(traj) - 1
     for a, b in zip(labels[:-1], labels[1:]):
         assert a.end_idx == b.start_idx
+
+
+_NULLS = {n_w: segmentation.gamma_null(n_w, 2, 0.95) for n_w in (5, 20, 75)}
+
+
+@st.composite
+def walks_with_runs(draw):
+    """A 2-D Gaussian walk with random directed runs and frozen stretches,
+    a window length N and a displacement gate."""
+    n_w = draw(st.sampled_from(sorted(_NULLS)))
+    n = draw(st.integers(n_w + 1, 1500))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    steps = rng.normal(0.0, 10.0, size=(n - 1, 2))
+    for _ in range(draw(st.integers(0, 3))):
+        start = draw(st.integers(0, n - 2))
+        angle = draw(st.floats(0.0, 2.0 * np.pi))
+        speed = draw(st.sampled_from([5.0, 20.0, 60.0]))
+        steps[start:start + draw(st.integers(1, 300))] += \
+            speed * np.array([np.cos(angle), np.sin(angle)])
+    pos = np.vstack([np.zeros((1, 2)), np.cumsum(steps, axis=0)])
+    for _ in range(draw(st.integers(0, 2))):
+        start = draw(st.integers(0, n - 1))
+        pos[start:start + draw(st.integers(1, 200))] = pos[start]
+    points = np.column_stack([pos, np.zeros(n)])
+    return (Trajectory(dt=0.01, points=points), _NULLS[n_w],
+            draw(st.sampled_from([0.0, 100.0, 500.0])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=walks_with_runs())
+def test_segment_labels_tile_and_directed_spans_pass_both_gates(case):
+    traj, null, min_length = case
+    pos = traj.axis("xy")
+    labels = segmentation.segment(traj, null, min_length_nm=min_length)
+    assert labels[0].start_idx == 0
+    assert labels[-1].end_idx == len(traj) - 1
+    for a, b in zip(labels[:-1], labels[1:]):
+        assert a.end_idx == b.start_idx
+    for lab in labels:
+        assert lab.end_idx > lab.start_idx
+        if lab.cls != "directed":
+            continue
+        assert lab.displacement_nm >= min_length
+        windows = [segmentation.directionality_ratio(pos[i:i + null.N + 1])
+                   for i in range(lab.start_idx, lab.end_idx - null.N + 1)]
+        assert max(g for g in windows if np.isfinite(g)) > null.critical_gamma
 
 
 def test_segment_displacement_gate():

@@ -156,11 +156,23 @@ def test_noise_free_benchmark_row():
 def test_lock_loss_on_fast_diffusion():
     truth = media.simulate_brownian(5e5, 200, CFG.T_orbit,
                                     seed=substream(19, "medium"))
-    _, diag = tracker.track(truth, CFG, 2e6,
-                            seed=substream(19, "tracker-photons"))
+    est, diag = tracker.track(truth, CFG, 2e6,
+                              seed=substream(19, "tracker-photons"))
     assert diag.lock_lost
     assert diag.lock_lost_at >= 0
     assert not diag.locked[diag.lock_lost_at]
+    # loss is declared at the fifth update of the first run of five unlocked
+    run, first = 0, -1
+    for k, ok in enumerate(diag.locked):
+        run = 0 if ok else run + 1
+        if run == 5:
+            first = k
+            break
+    assert diag.lock_lost_at == first
+    truth_at_updates = np.array([[np.interp(t, truth.times, truth.points[:, i])
+                                  for i in range(3)] for t in diag.times])
+    want = [np.linalg.norm(p - q) for p, q in zip(est.points, truth_at_updates)]
+    assert np.array_equal(diag.residual_nm, want)
 
 
 def test_diagnostics_csv(tmp_path):
