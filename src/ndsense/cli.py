@@ -121,27 +121,26 @@ def _write_json(obj: dict, path: str) -> None:
 
 # ---------------------------------------------------------------- simulate
 
+def _constant_schedule(T_C, **kwargs):
+    return chip.TemperatureSchedule(steps=((0.0, T_C),), **kwargs)
+
+
 def _build_schedule(cfg: dict):
+    """Schedule from its config section; keys left out take the builder's defaults."""
     kind = _need(cfg, "kind", "schedule")
-    tau = cfg.get("tau_s", chip.DEFAULT_RAMP_TAU_S)
-    if kind == "constant":
-        return chip.TemperatureSchedule(steps=((0.0, _need(cfg, "T_C", "schedule")),),
-                                        tau_s=tau)
-    if kind == "staircase":
-        return chip.staircase_schedule(
-            start_C=_need(cfg, "start_C", "schedule"),
-            step_C=cfg.get("step_C", 4.0),
-            dwell_s=cfg.get("dwell_s", 900.0),
-            n_levels=cfg.get("n_levels", 4),
-            tau_s=tau)
-    if kind == "alternating":
-        return chip.alternating_schedule(
-            base_C=_need(cfg, "base_C", "schedule"),
-            delta_C=cfg.get("delta_C", 10.6),
-            half_period_s=cfg.get("half_period_s", 1800.0),
-            n_cycles=cfg.get("n_cycles", 2),
-            tau_s=tau)
-    raise ConfigError(f"unknown schedule kind: {kind}")
+    # looked up at call time, so a patched chip builder is the one called
+    builder = {"constant": _constant_schedule, "staircase": chip.staircase_schedule,
+               "alternating": chip.alternating_schedule}.get(kind)
+    if builder is None:
+        raise ConfigError(f"unknown schedule kind: {kind}")
+    params = {key: value for key, value in cfg.items() if key != "kind"}
+    for key, value in params.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"schedule key '{key}' must be a number, not {value!r}")
+    try:
+        return builder(**params)
+    except (TypeError, ValueError) as exc:  # a key of another kind, a missing or bad value
+        raise ConfigError(f"{kind} schedule: {exc}") from exc
 
 
 def _simulate_truth(cfg: dict, seed: int) -> Trajectory:
@@ -288,9 +287,17 @@ def _fit_D(traj: Trajectory, an: dict, axes: str):
     return curve, fit
 
 
+def _read_temperature(path):
+    """Read a temperature series; Allan analysis needs at least 3 rows."""
+    series = _read_input(odmr.TemperatureSeries.from_csv, path)
+    if series.times.size < 3:
+        raise ConfigError(f"{path}: {series.times.size} rows, Allan analysis needs 3")
+    return series
+
+
 def _allan(series, out: str):
     """Allan deviation of a temperature series, also written to allan.csv."""
-    dt_s = float(np.median(np.diff(series.times))) if series.times.size > 1 else 0.4
+    dt_s = float(np.median(np.diff(series.times)))
     taus, adev = odmr.allan_deviation(series.dT_C, dt_s)
     write_table(os.path.join(out, "allan.csv"),
                 [("tau_s", taus, "%.6f"), ("adev_C", adev, "%.6e")])
@@ -301,12 +308,14 @@ def cmd_analyze(args) -> int:
     cfg = load_config(args.config)
     an = cfg.get("analysis", {})
     axes = an.get("axes", "xy")
+    force_on = an.get("force", {}).get("enabled", False)
+    if force_on and "modulus" not in an:
+        raise ConfigError("analysis.force needs analysis.modulus for the force split")
     if not args.traj:
         raise ConfigError("analyze needs at least one --traj file")
     # every input is read before the first output is written
     trajs = [_read_input(Trajectory.from_csv, p) for p in args.traj]
-    temperature = (_read_input(odmr.TemperatureSeries.from_csv, args.temperature)
-                   if args.temperature else None)
+    temperature = _read_temperature(args.temperature) if args.temperature else None
     kappa_inputs = None
     if args.shifts and args.setpoints:
         kappa_inputs = (_read_input(read_table, args.shifts, _SHIFT_COLUMNS)[1],
@@ -329,8 +338,6 @@ def cmd_analyze(args) -> int:
     except ValueError:
         pass
 
-    # the force split needs the modulus
-    force_on = "modulus" in an and an.get("force", {}).get("enabled", False)
     if "modulus" in an:
         mcfg = an["modulus"]
         t_k = celsius_to_kelvin(float(_need(mcfg, "temperature_C", "analysis.modulus")))
@@ -368,23 +375,20 @@ def cmd_analyze(args) -> int:
                    "degenerate": st.degenerate}
             for name, st in classes.classes.items()}
 
-    if len(trajs) >= 3:
+    med = cfg.get("medium", {})
+    if len(trajs) >= 3 and {"eta0_pa_s", "mu_pa_s_per_C", "T_ref_C"} <= med.keys():
         temps = an.get("radius_fit", {}).get("temps_C")
         if temps is None:
             temps = [t.meta.get("temperature_C") for t in trajs]
         if all(t is not None for t in temps):
-            try:
-                model = _viscous_model(cfg.get("medium", {}))
-            except ConfigError:
-                model = None
-            if model is not None:
-                fits = [_fit_D(t, an, axes)[1] for t, _ in zip(trajs, temps)]
-                pairs = [(float(temp), fit.D) for temp, fit in zip(temps, fits)]
-                sig = [fit.sigma for fit in fits]
-                if not all(np.isfinite(s) and s > 0 for s in sig):
-                    sig = None
-                rfit = rheology.fit_hydrodynamic_radius(pairs, model, sigma_D=sig)
-                summary["r_hydro_nm"] = [rfit.r_nm, rfit.sigma_nm]
+            # the first trajectory's fit is the one summarised above
+            fits = [dfit] + [_fit_D(t, an, axes)[1] for t in trajs[1:len(temps)]]
+            pairs = [(float(temp), fit.D) for temp, fit in zip(temps, fits)]
+            sig = [fit.sigma for fit in fits]
+            if not all(np.isfinite(s) and s > 0 for s in sig):
+                sig = None
+            rfit = rheology.fit_hydrodynamic_radius(pairs, _viscous_model(med), sigma_D=sig)
+            summary["r_hydro_nm"] = [rfit.r_nm, rfit.sigma_nm]
 
     if temperature is not None:
         taus, adev = _allan(temperature, out)
@@ -426,9 +430,7 @@ def cmd_crb(args) -> int:
 
 
 def cmd_allan(args) -> int:
-    series = _read_input(odmr.TemperatureSeries.from_csv, args.input)
-    if series.times.size < 3:
-        raise ConfigError("temperature series too short for Allan analysis")
+    series = _read_temperature(args.input)
     taus, adev = _allan(series, _out_dir(args))
     if (adev > 0).all():
         sens = odmr.allan_sensitivity(taus, adev)

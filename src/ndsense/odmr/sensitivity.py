@@ -71,32 +71,12 @@ class CrbResult:
         return float(np.sqrt(self.matrix[i, i]))
 
 
-def _perturbed(shape: Lineshape, name: str, value: float) -> Lineshape:
-    if name.startswith("center"):
-        i = int(name[-1]) - 1
-        centers = list(shape.centers)
-        centers[i] = value
-        return replace(shape, centers=tuple(centers))
-    if name.startswith("contrast"):
-        i = int(name[-1]) - 1 if name[-1].isdigit() else 0
-        contrasts = list(shape.contrasts)
-        contrasts[i] = value
-        return replace(shape, contrasts=tuple(contrasts))
-    if name.startswith("hwhm"):
-        i = int(name[-1]) - 1 if name[-1].isdigit() else 0
-        hwhms = list(shape.hwhms)
-        hwhms[i] = value
-        return replace(shape, hwhms=tuple(hwhms))
-    raise ValueError(f"unknown parameter: {name}")
-
-
-def _param_value(shape: Lineshape, name: str) -> float:
-    if name.startswith("center"):
-        return shape.centers[int(name[-1]) - 1]
-    if name.startswith("contrast"):
-        return shape.contrasts[int(name[-1]) - 1 if name[-1].isdigit() else 0]
-    if name.startswith("hwhm"):
-        return shape.hwhms[int(name[-1]) - 1 if name[-1].isdigit() else 0]
+def _param_slot(name: str) -> tuple:
+    """(Lineshape field, index) of a shape parameter such as 'center2' or
+    'hwhm'; a name without a trailing digit means the first dip."""
+    for fld in ("centers", "contrasts", "hwhms"):
+        if name.startswith(fld[:-1]):
+            return fld, int(name[-1]) - 1 if name[-1].isdigit() else 0
     raise ValueError(f"unknown parameter: {name}")
 
 
@@ -121,11 +101,15 @@ def crb(shape: Lineshape, lam0: float, freqs=None,
         elif name == "delta_f":
             cols.append(-lam0 * shape.derivative(freqs))
         else:
-            v = _param_value(shape, name)
+            fld, i = _param_slot(name)
+            values = list(getattr(shape, fld))
+            v = values[i]
             h = 1e-4 * abs(v) if v else 1e-4
-            up = lam0 * _perturbed(shape, name, v + h).value(freqs)
-            dn = lam0 * _perturbed(shape, name, v - h).value(freqs)
-            cols.append((up - dn) / (2.0 * h))
+            levels = []
+            for x in (v + h, v - h):
+                values[i] = x
+                levels.append(lam0 * replace(shape, **{fld: tuple(values)}).value(freqs))
+            cols.append((levels[0] - levels[1]) / (2.0 * h))
     jac = np.column_stack(cols)
     fisher = jac.T @ (jac / mu[:, None])
     fisher = 0.5 * (fisher + fisher.T)
@@ -190,27 +174,21 @@ def _fit_lorentzians(freqs, levels, n_dips: int):
     scale = 1e6
     # parameters in MHz relative to grid center for conditioning
     x = (freqs - f0) / scale
+    # starting centers, contrasts and hwhms, in MHz from the grid center
+    p0 = {1: (0.0, 0.2, 7.0), 2: (-3.0, 3.0, 0.15, 0.12, 6.0, 6.0)}[n_dips]
 
-    if n_dips == 2:
-        def model(xx, m1, m2, c1, c2, g1, g2):
-            return (1.0 - c1 * g1 * g1 / ((xx - m1) ** 2 + g1 * g1)
-                    - c2 * g2 * g2 / ((xx - m2) ** 2 + g2 * g2))
-        p0 = (-3.0, 3.0, 0.15, 0.12, 6.0, 6.0)
-        popt, _ = curve_fit(model, x, levels, p0=p0, maxfev=20000)
-        m1, m2, c1, c2, g1, g2 = popt
-        if m1 > m2:
-            m1, m2, c1, c2, g1, g2 = m2, m1, c2, c1, g2, g1
-        return Lineshape(kind="double_lorentzian",
-                         centers=(f0 + m1 * scale, f0 + m2 * scale),
-                         contrasts=(abs(c1), abs(c2)),
-                         hwhms=(abs(g1) * scale, abs(g2) * scale))
-
-    def model1(xx, m, c, g):
-        return 1.0 - c * g * g / ((xx - m) ** 2 + g * g)
-    popt, _ = curve_fit(model1, x, levels, p0=(0.0, 0.2, 7.0), maxfev=20000)
-    m, c, g = popt
-    return Lineshape(kind="single_lorentzian", centers=(f0 + m * scale,),
-                     contrasts=(abs(c),), hwhms=(abs(g) * scale,))
+    def model(xx, *p):
+        out = 1.0
+        for m, c, g in zip(*np.reshape(p, (3, n_dips))):
+            out = out - c * g * g / ((xx - m) ** 2 + g * g)
+        return out
+    popt, _ = curve_fit(model, x, levels, p0=p0, maxfev=20000)
+    m, c, g = popt.reshape(3, n_dips)
+    order = sorted(range(n_dips), key=lambda k: m[k])
+    return Lineshape(kind="double_lorentzian" if n_dips == 2 else "single_lorentzian",
+                     centers=tuple(f0 + m[k] * scale for k in order),
+                     contrasts=tuple(abs(c[k]) for k in order),
+                     hwhms=tuple(abs(g[k]) * scale for k in order))
 
 
 def lineshape_bound_comparison(table: Lineshape, lam0: float,
@@ -230,11 +208,10 @@ def lineshape_bound_comparison(table: Lineshape, lam0: float,
     freqs = np.asarray(freqs, dtype=float)
     dl = _fit_lorentzians(table.table_f, table.table_L, 2)
     sl = _fit_lorentzians(table.table_f, table.table_L, 1)
-    args = (lam0, kappa_khz_per_C, timing, freqs)
 
     def sens(shape):
-        return crb_temperature_sensitivity(shape, args[0], args[1],
-                                           timing=args[2], freqs=args[3])
+        return crb_temperature_sensitivity(shape, lam0, kappa_khz_per_C,
+                                           timing=timing, freqs=freqs)
     return BoundComparison(interpolation=sens(table),
                            double_lorentzian=sens(dl),
                            single_lorentzian=sens(sl),

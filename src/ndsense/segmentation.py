@@ -156,50 +156,31 @@ def segment(traj: Trajectory, null: GammaNull, axes: str = "xy",
 
     n_windows = n_pos - n_w
     gammas = _window_gammas(pos, n_w)
-    supra = gammas > null.critical_gamma  # NaN compares False
+    # supra windows less than N apart overlap and merge into one candidate
+    supra = np.flatnonzero(gammas > null.critical_gamma)  # NaN compares False
+    breaks = np.flatnonzero(np.diff(supra) > n_w)
+    starts = np.r_[supra[:1], supra[breaks + 1]].tolist()
+    ends = (np.r_[supra[breaks], supra[-1:]] + n_w).tolist()
 
-    # merge supra windows whose index spans overlap
-    candidates = []
-    i = 0
-    while i < n_windows:
-        if not supra[i]:
-            i += 1
-            continue
-        start = i
-        end = i + n_w  # inclusive position index
-        j = i + 1
-        while j < n_windows and j <= end:
-            if supra[j]:
-                end = j + n_w
-            j += 1
-        candidates.append((start, end))
-        i = end + 1
-
-    def span_label(s, e, cls, g):
-        disp = float(np.linalg.norm(pos[e] - pos[s]))
+    def span_label(s, e, cls):
+        """Label positions s..e; gamma is the NaN-safe max over its windows."""
+        lo = min(s, n_windows - 1)
+        sub = gammas[lo:max(e - n_w, lo) + 1]
+        g = float(np.nanmax(sub)) if np.isfinite(sub).any() else float("nan")
         return SegmentLabel(start_idx=s, end_idx=e, gamma=g, cls=cls,
-                            displacement_nm=disp)
-
-    directed = []
-    for s, e in candidates:
-        disp = float(np.linalg.norm(pos[e] - pos[s]))
-        g = float(np.nanmax(gammas[s:min(e - n_w, n_windows - 1) + 1]))
-        if disp >= min_length_nm:
-            directed.append(span_label(s, e, "directed", g))
+                            displacement_nm=float(np.linalg.norm(pos[e] - pos[s])))
 
     labels = []
     cursor = 0
-    for seg_label in directed:
-        if seg_label.start_idx > cursor:
-            sub = gammas[cursor:max(seg_label.start_idx - n_w, cursor) + 1]
-            g = float(np.nanmax(sub)) if np.isfinite(sub).any() else float("nan")
-            labels.append(span_label(cursor, seg_label.start_idx, "non-directed", g))
-        labels.append(seg_label)
-        cursor = seg_label.end_idx
+    for s, e in zip(starts, ends):
+        directed = span_label(s, e, "directed")
+        if directed.displacement_nm >= min_length_nm:
+            if s > cursor:
+                labels.append(span_label(cursor, s, "non-directed"))
+            labels.append(directed)
+            cursor = e
     if cursor < n_pos - 1:
-        sub = gammas[min(cursor, n_windows - 1):]
-        g = float(np.nanmax(sub)) if np.isfinite(sub).any() else float("nan")
-        labels.append(span_label(cursor, n_pos - 1, "non-directed", g))
+        labels.append(span_label(cursor, n_pos - 1, "non-directed"))
     return labels
 
 

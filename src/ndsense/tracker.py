@@ -8,7 +8,7 @@ emulates the hardware feedback loop update by update.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,7 +98,6 @@ class OrbitFrame:
 
     counts_top: np.ndarray
     counts_bottom: np.ndarray
-    orbit_center: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
         self.counts_top = np.asarray(self.counts_top)
@@ -243,11 +242,6 @@ def track(truth: Trajectory, cfg: TrackerConfig, brightness: float, seed,
 
     center = tp[0] + np.asarray(initial_offset, dtype=float)
     est = np.empty((n_orbits, 3))
-    resid = np.empty(n_orbits)
-    locked = np.ones(n_orbits, dtype=bool)
-    lock_lost = False
-    lock_lost_at = -1
-    run = 0
     nb = cfg.n_bins
 
     for k in range(n_orbits):
@@ -272,31 +266,26 @@ def track(truth: Trajectory, cfg: TrackerConfig, brightness: float, seed,
             counts_top = lam_top
             counts_bot = lam_bot
         frame = OrbitFrame(counts_top.reshape(nb, -1).sum(axis=1),
-                           counts_bot.reshape(nb, -1).sum(axis=1),
-                           orbit_center=center.copy())
+                           counts_bot.reshape(nb, -1).sum(axis=1))
         try:
             fit = fit_orbit(frame, cfg)
             center = center + cfg.gain * correction(fit, cfg)
         except TrackingLossError:
             pass  # dark orbit: hold position, residual will show the loss
         est[k] = center
-        truth_now = np.array([np.interp(truth.t0 + (k + 1) * cfg.T_orbit, tt, tp[:, i])
-                              for i in range(3)])
-        resid[k] = np.linalg.norm(center - truth_now)
-        if resid[k] > 3.0 * cfg.w_xy:
-            locked[k] = False
-            run += 1
-            if run >= 5 and not lock_lost:
-                lock_lost = True
-                lock_lost_at = k
-        else:
-            run = 0
 
     estimate = Trajectory(dt=cfg.T_orbit, points=est, t0=truth.t0 + cfg.T_orbit,
                           meta={"generator": "tracker", "brightness_cps": brightness})
     times = truth.t0 + cfg.T_orbit * (1 + np.arange(n_orbits))
+    d = est - np.column_stack([np.interp(times, tt, tp[:, i]) for i in range(3)])
+    # bit for bit the per-row np.linalg.norm; norm(axis=1) differs in the last bit
+    resid = np.sqrt((d[:, None, :] @ d[:, :, None]).ravel())
+    locked = ~(resid > 3.0 * cfg.w_xy)
+    # loss is declared at the fifth update of the first run of 5 unlocked ones
+    lost = np.flatnonzero(np.convolve(~locked, np.ones(5, int))[:n_orbits] == 5)
+    lock_lost_at = int(lost[0]) if lost.size else -1
     diag = TrackDiagnostics(times=times, residual_nm=resid, locked=locked,
-                            lock_lost=lock_lost, lock_lost_at=lock_lost_at)
+                            lock_lost=lock_lost_at >= 0, lock_lost_at=lock_lost_at)
     return estimate, diag
 
 

@@ -170,6 +170,20 @@ def test_bad_configs_exit_1(tmp_path, mangle):
     assert cli.main(argv) == 1
 
 
+@pytest.mark.parametrize("schedule", [
+    {"kind": "staircase", "start_C": 24.0, "delta_C": 5.0},  # an alternating key
+    {"kind": "alternating", "delta_C": 5.0},  # base_C missing
+    {"kind": "staircase", "start_C": "24"},
+    {"kind": "constant", "T_C": True},
+], ids=["other-kind-key", "missing-key", "string", "bool"])
+def test_schedule_keys_strict_per_kind(tmp_path, capsys, schedule):
+    path = write_config(tmp_path / "cfg.json", brownian_cfg(schedule=schedule))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", path, "--out-dir", str(out)]) == 1
+    assert "schedule" in capsys.readouterr().err
+    assert not (out / "truth.csv").exists()
+
+
 def test_invalid_json_exit_1(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text("{not json")
@@ -300,6 +314,31 @@ def test_analyze_bad_input_table_exits_1_before_writing(tmp_path, odmr_run, caps
     assert not (out / "msd.csv").exists()
     assert cli.main(["allan", "--input", str(shifts), "--out-dir", str(out)]) == 1
     assert "unexpected header" in capsys.readouterr().err
+
+
+def test_analyze_force_without_modulus_exits_1(tmp_path, odmr_run, capsys):
+    cfg = write_config(tmp_path / "cfg.json",
+                       {"schema_version": 1, "seed": 1,
+                        "analysis": {"force": {"enabled": True}, "psd": {}}})
+    out = tmp_path / "out"
+    assert cli.main(["analyze", "--config", cfg, "--traj", str(odmr_run / "truth.csv"),
+                     "--out-dir", str(out)]) == 1
+    assert "analysis.modulus" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_short_temperature_series_exits_1_before_writing(tmp_path, odmr_run, capsys):
+    cfg = write_config(tmp_path / "cfg.json",
+                       {"schema_version": 1, "seed": 1, "analysis": {"psd": {}}})
+    short = tmp_path / "temperature.csv"
+    short.write_text("t_s,dT_C,sigma_C\n0.0,0.1,0.01\n0.4,0.2,0.01\n")
+    out = tmp_path / "out"
+    assert cli.main(["analyze", "--config", cfg, "--traj", str(odmr_run / "truth.csv"),
+                     "--temperature", str(short), "--out-dir", str(out)]) == 1
+    assert f"{short}: 2 rows" in capsys.readouterr().err
+    assert cli.main(["allan", "--input", str(short), "--out-dir", str(out)]) == 1
+    assert f"{short}: 2 rows" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_analyze_rejects_off_grid_timestamps(tmp_path, capsys):

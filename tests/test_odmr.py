@@ -166,6 +166,14 @@ def test_crb_shape_parameter_columns():
     assert res.sigma("delta_f") >= base.sigma("delta_f")
 
 
+def test_crb_bare_parameter_names_mean_the_first_dip():
+    bare = odmr.crb(SHAPE, 10.0, GRID, params=("lam0", "delta_f", "center", "hwhm"))
+    first = odmr.crb(SHAPE, 10.0, GRID, params=("lam0", "delta_f", "center1", "hwhm1"))
+    assert np.array_equal(bare.matrix, first.matrix)
+    with pytest.raises(ValueError, match="unknown parameter"):
+        odmr.crb(SHAPE, 10.0, GRID, params=("lam0", "width"))
+
+
 def test_crb_singular_parameterization():
     single = odmr.Lineshape.single(2.87e9)
     # a rigid center shift and delta_f are indistinguishable
