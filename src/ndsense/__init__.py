@@ -2,7 +2,7 @@
 photon-level orbital tracking, ODMR thermometry, passive nanorheology,
 and directed-motion segmentation."""
 
-from . import chip, cli, media, odmr, rheology, segmentation, tracker
+from . import chip, media, odmr, rheology, segmentation, tracker
 from .media import (
     GLYCEROL_MODEL,
     DirectedSegmentSpec,
@@ -36,7 +36,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "chip",
-    "cli",
     "media",
     "odmr",
     "rheology",

@@ -106,6 +106,10 @@ class DutyCycleSchedule:
             raise ValueError(
                 "schedule rejected: mw_on + 2*buffer + heater_on exceeds period")
 
+    def scans_per_second(self, n_points: int) -> float:
+        """Complete n_points-tick sweeps per second that fit in the microwave gate."""
+        return int(self.mw_on / (CLOCK_S * n_points)) / self.period
+
 
 @dataclass(frozen=True)
 class TimelineEvent:

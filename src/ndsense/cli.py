@@ -76,6 +76,10 @@ def _need(d: dict, key: str, path: str):
     return d[key]
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def load_config(path: str | None) -> dict:
     if path is None:
         return {"schema_version": SCHEMA_VERSION}
@@ -135,7 +139,7 @@ def _build_schedule(cfg: dict):
         raise ConfigError(f"unknown schedule kind: {kind}")
     params = {key: value for key, value in cfg.items() if key != "kind"}
     for key, value in params.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        if not _is_number(value):
             raise ConfigError(f"schedule key '{key}' must be a number, not {value!r}")
     try:
         return builder(**params)
@@ -147,7 +151,7 @@ def _simulate_truth(cfg: dict, seed: int) -> Trajectory:
     med = _need(cfg, "medium", "config")
     sim = _need(cfg, "simulate", "config")
     duration = float(_need(sim, "duration_s", "simulate"))
-    dt = float(sim.get("dt_s", 9.6e-3))
+    dt = float(sim.get("dt_s", tracker.TrackerConfig.T_orbit))
     if duration <= 0 or dt <= 0:
         raise ConfigError("simulate.duration_s and dt_s must be positive")
     n_steps = int(round(duration / dt))
@@ -232,12 +236,11 @@ def cmd_simulate(args) -> int:
                                  odmr.DEFAULT_KAPPA_KHZ_PER_C))
         kappa_sigma = float(od_cfg.get("kappa_sigma_khz_per_C", 0.4))
         lam0 = float(od_cfg.get("lam0", odmr.DEFAULT_PHOTON_BUDGET))
-        duration = float(od_cfg.get("duration_s",
-                                    cfg["simulate"]["duration_s"]))
+        duration = float(od_cfg.get("duration_s", cfg["simulate"]["duration_s"]))
+        bin_s = float(od_cfg.get("bin_s", 0.4))
         if schedule is not None:
             base = schedule.steps[0][1]
-            times, temps = chip.setpoint_series(schedule, dt=0.4,
-                                                duration=duration)
+            times, temps = chip.setpoint_series(schedule, dt=bin_s, duration=duration)
 
             def shift_of_t(t):
                 return kappa * 1e3 * (np.interp(t, times, temps) - base)
@@ -245,7 +248,7 @@ def cmd_simulate(args) -> int:
             shift_of_t = None  # no schedule: zero true shift
         series = odmr.simulate_shift_series(
             odmr.default_lineshape(), lam0, duration, substream(seed, "odmr-photons"),
-            delta_f_of_t=shift_of_t, bin_s=float(od_cfg.get("bin_s", 0.4)))
+            delta_f_of_t=shift_of_t, bin_s=bin_s)
         write_table(os.path.join(out, "shifts.csv"),
                     [(name, col, "%.6f") for name, col in zip(
                         _SHIFT_COLUMNS, (series.times, series.delta_f, series.sigma))])
@@ -313,6 +316,14 @@ def cmd_analyze(args) -> int:
         raise ConfigError("analysis.force needs analysis.modulus for the force split")
     if not args.traj:
         raise ConfigError("analyze needs at least one --traj file")
+    med = cfg.get("medium", {})
+    viscous = {"eta0_pa_s", "mu_pa_s_per_C", "T_ref_C"} <= med.keys()
+    if "radius_fit" in an:
+        temps = an["radius_fit"].get("temps_C")
+        if (not isinstance(temps, list) or len(temps) != len(args.traj) or len(temps) < 3
+                or not viscous or not all(_is_number(t) for t in temps)):
+            raise ConfigError("analysis.radius_fit needs one temps_C number per --traj file "
+                              "(at least 3) and medium eta0_pa_s, mu_pa_s_per_C, T_ref_C")
     # every input is read before the first output is written
     trajs = [_read_input(Trajectory.from_csv, p) for p in args.traj]
     temperature = _read_temperature(args.temperature) if args.temperature else None
@@ -375,20 +386,17 @@ def cmd_analyze(args) -> int:
                    "degenerate": st.degenerate}
             for name, st in classes.classes.items()}
 
-    med = cfg.get("medium", {})
-    if len(trajs) >= 3 and {"eta0_pa_s", "mu_pa_s_per_C", "T_ref_C"} <= med.keys():
-        temps = an.get("radius_fit", {}).get("temps_C")
-        if temps is None:
-            temps = [t.meta.get("temperature_C") for t in trajs]
-        if all(t is not None for t in temps):
-            # the first trajectory's fit is the one summarised above
-            fits = [dfit] + [_fit_D(t, an, axes)[1] for t in trajs[1:len(temps)]]
-            pairs = [(float(temp), fit.D) for temp, fit in zip(temps, fits)]
-            sig = [fit.sigma for fit in fits]
-            if not all(np.isfinite(s) and s > 0 for s in sig):
-                sig = None
-            rfit = rheology.fit_hydrodynamic_radius(pairs, _viscous_model(med), sigma_D=sig)
-            summary["r_hydro_nm"] = [rfit.r_nm, rfit.sigma_nm]
+    temps = an["radius_fit"]["temps_C"] if "radius_fit" in an else \
+        [t.meta.get("temperature_C") for t in trajs]
+    if len(trajs) >= 3 and viscous and None not in temps:
+        # the first trajectory's fit is the one summarised above
+        fits = [dfit] + [_fit_D(t, an, axes)[1] for t in trajs[1:]]
+        pairs = [(float(temp), fit.D) for temp, fit in zip(temps, fits)]
+        sig = [fit.sigma for fit in fits]
+        if not all(np.isfinite(s) and s > 0 for s in sig):
+            sig = None
+        rfit = rheology.fit_hydrodynamic_radius(pairs, _viscous_model(med), sigma_D=sig)
+        summary["r_hydro_nm"] = [rfit.r_nm, rfit.sigma_nm]
 
     if temperature is not None:
         taus, adev = _allan(temperature, out)

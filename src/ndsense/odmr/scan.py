@@ -9,7 +9,7 @@ from scipy.optimize import minimize_scalar
 
 from .._table import read_table, write_table
 from ..seeding import as_generator
-from .lineshape import Lineshape
+from .lineshape import Lineshape, default_grid
 
 __all__ = [
     "OdmrScan",
@@ -68,7 +68,6 @@ def synthesize_scan(shape: Lineshape, lam0: float, delta_f: float, seed,
     if lam0 <= 0:
         raise ValueError("lam0 must be positive")
     if freqs is None:
-        from .lineshape import default_grid
         freqs = default_grid()
     freqs = np.asarray(freqs, dtype=float)
     rng = as_generator(seed)

@@ -4,17 +4,18 @@ synthetic thermometry pipeline (scan stream -> shift fits -> temperature).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import curve_fit
 
+from ..chip import DutyCycleSchedule
 from ..seeding import as_generator
 from .lineshape import Lineshape, default_grid
-from .scan import fit_shift, synthesize_scan
+from .scan import build_interpolation, fit_shift, synthesize_scan
 
 __all__ = [
-    "ScanTiming",
     "CrbResult",
     "BoundComparison",
     "ShiftSeries",
@@ -30,38 +31,6 @@ DEFAULT_PHOTON_BUDGET = 10.0  # counts per 10 us sample, both detectors summed
 
 
 @dataclass(frozen=True)
-class ScanTiming:
-    """Timing of the gated scan stream.
-
-    One sweep covers n_points samples; sweeps run only while the
-    microwave gate is open (mw_on_s out of every period_s).
-    """
-
-    sample_s: float = 1e-5
-    n_points: int = 200
-    period_s: float = 0.2
-    mw_on_s: float = 0.16
-
-    def __post_init__(self):
-        if min(self.sample_s, self.period_s, self.mw_on_s) <= 0 or self.n_points < 2:
-            raise ValueError("timing parameters must be positive")
-        if self.mw_on_s > self.period_s:
-            raise ValueError("gate open time cannot exceed the period")
-
-    @property
-    def scan_s(self) -> float:
-        return self.sample_s * self.n_points
-
-    @property
-    def scans_per_second(self) -> float:
-        return int(self.mw_on_s / self.scan_s) / self.period_s
-
-    @property
-    def duty(self) -> float:
-        return self.mw_on_s / self.period_s
-
-
-@dataclass(frozen=True)
 class CrbResult:
     params: tuple
     matrix: np.ndarray  # covariance lower bound for one scan
@@ -71,13 +40,13 @@ class CrbResult:
         return float(np.sqrt(self.matrix[i, i]))
 
 
-def _param_slot(name: str) -> tuple:
+def _param_slot(name: str, n_dips: int) -> tuple:
     """(Lineshape field, index) of a shape parameter such as 'center2' or
-    'hwhm'; a name without a trailing digit means the first dip."""
-    for fld in ("centers", "contrasts", "hwhms"):
-        if name.startswith(fld[:-1]):
-            return fld, int(name[-1]) - 1 if name[-1].isdigit() else 0
-    raise ValueError(f"unknown parameter: {name}")
+    'hwhm'; a name without an index means the first dip."""
+    m = re.fullmatch(r"(center|contrast|hwhm)([1-9][0-9]*)?", name)
+    if m is None or int(m[2] or 1) > n_dips:
+        raise ValueError(f"unknown parameter: {name}")
+    return m[1] + "s", int(m[2] or 1) - 1
 
 
 def crb(shape: Lineshape, lam0: float, freqs=None,
@@ -101,7 +70,7 @@ def crb(shape: Lineshape, lam0: float, freqs=None,
         elif name == "delta_f":
             cols.append(-lam0 * shape.derivative(freqs))
         else:
-            fld, i = _param_slot(name)
+            fld, i = _param_slot(name, len(shape.centers))
             values = list(getattr(shape, fld))
             v = values[i]
             h = 1e-4 * abs(v) if v else 1e-4
@@ -144,17 +113,18 @@ def shift_bound_per_scan(shape: Lineshape, lam0: float, freqs=None) -> float:
 
 def crb_temperature_sensitivity(shape: Lineshape, lam0: float,
                                 kappa_khz_per_C: float,
-                                timing: ScanTiming = ScanTiming(),
                                 freqs=None) -> float:
     """Shot-noise-limited thermometry sensitivity, degrees C per sqrt(Hz).
 
-    The per-scan shift bound is averaged over the scans completed per
-    wall-clock second, which folds in the gating duty cycle.
+    The per-scan shift bound is averaged over the sweeps of `freqs` that the
+    chip's microwave gate completes per wall-clock second (the duty cycle).
     """
     if kappa_khz_per_C == 0:
         raise ValueError("kappa must be nonzero")
+    if freqs is None:
+        freqs = default_grid()
     sigma_scan = shift_bound_per_scan(shape, lam0, freqs)
-    sigma_1s = sigma_scan / np.sqrt(timing.scans_per_second)
+    sigma_1s = sigma_scan / np.sqrt(DutyCycleSchedule().scans_per_second(len(freqs)))
     return float(sigma_1s / abs(kappa_khz_per_C * 1e3))
 
 
@@ -193,7 +163,6 @@ def _fit_lorentzians(freqs, levels, n_dips: int):
 
 def lineshape_bound_comparison(table: Lineshape, lam0: float,
                                kappa_khz_per_C: float,
-                               timing: ScanTiming = ScanTiming(),
                                freqs=None) -> BoundComparison:
     """Thermometry bounds for interpolation-table, double- and
     single-Lorentzian descriptions of one measured spectrum.
@@ -210,8 +179,7 @@ def lineshape_bound_comparison(table: Lineshape, lam0: float,
     sl = _fit_lorentzians(table.table_f, table.table_L, 1)
 
     def sens(shape):
-        return crb_temperature_sensitivity(shape, lam0, kappa_khz_per_C,
-                                           timing=timing, freqs=freqs)
+        return crb_temperature_sensitivity(shape, lam0, kappa_khz_per_C, freqs=freqs)
     return BoundComparison(interpolation=sens(table),
                            double_lorentzian=sens(dl),
                            single_lorentzian=sens(sl),
@@ -232,21 +200,20 @@ class ShiftSeries:
 
 
 def simulate_shift_series(shape: Lineshape, lam0: float, duration_s: float,
-                          seed, delta_f_of_t=None, bin_s: float = 0.4,
-                          timing: ScanTiming = ScanTiming(), freqs=None,
+                          seed, delta_f_of_t=None, bin_s: float = 0.4, freqs=None,
                           fit_shape: Lineshape | None = None) -> ShiftSeries:
     """Synthesize a gated scan stream and fit per-bin frequency shifts.
 
-    Each bin accumulates the scans completed during `bin_s` of wall time.
+    Each bin accumulates the sweeps of `freqs` the gate completes in `bin_s`.
     `delta_f_of_t` maps bin start time to the true shift (default 0).
     When `fit_shape` is None the interpolation table is built from the
     accumulated data itself, mirroring the self-calibrated pipeline.
     """
     if freqs is None:
-        freqs = default_grid(n_points=timing.n_points)
+        freqs = default_grid()
     freqs = np.asarray(freqs, dtype=float)
     rng = as_generator(seed)
-    scans_per_bin = int(round(bin_s * timing.scans_per_second))
+    scans_per_bin = int(round(bin_s * DutyCycleSchedule().scans_per_second(len(freqs))))
     if scans_per_bin < 1:
         raise ValueError("bin shorter than one scan")
     n_bins = int(duration_s / bin_s)
@@ -259,7 +226,6 @@ def simulate_shift_series(shape: Lineshape, lam0: float, duration_s: float,
     scans = [synthesize_scan(shape, lam0, truth[k], rng, freqs=freqs,
                              n_scans=scans_per_bin) for k in range(n_bins)]
     if fit_shape is None:
-        from .scan import build_interpolation
         fit_shape = build_interpolation(scans)
     fits = [fit_shift(s, fit_shape) for s in scans]
     ok = np.array([f.converged for f in fits])

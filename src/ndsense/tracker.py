@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._table import write_table
+from .chip import CLOCK_S
 from .seeding import as_generator
 from .trajectory import Trajectory
 
@@ -40,8 +41,8 @@ class TrackerConfig:
     """Feedback-loop geometry and timing.
 
     Defaults reproduce the reference instrument: a 9.6 ms orbit of radius
-    50 nm sampled at 100 kHz into 8 angular bins, with collection planes
-    offset +-200 nm axially.
+    50 nm sampled on the chip's 100 kHz clock (`chip.CLOCK_S`) into 8
+    angular bins, with collection planes offset +-200 nm axially.
     """
 
     T_orbit: float = 9.6e-3   # s
@@ -51,17 +52,16 @@ class TrackerConfig:
     w_z: float = 200.0        # nm, axial PSF 1/e^2 radius
     G: float = 0.0            # detector imbalance, in [-1, 1]
     n_bins: int = 8
-    clock: float = 1e-5       # s per photon sample
     gain: float = 1.0         # correction gain applied per update
 
     def __post_init__(self):
-        if min(self.T_orbit, self.R_xy, self.w_xy, self.R_z, self.w_z, self.clock) <= 0:
+        if min(self.T_orbit, self.R_xy, self.w_xy, self.R_z, self.w_z) <= 0:
             raise ValueError("geometry and timing parameters must be positive")
         if not -1.0 <= self.G <= 1.0:
             raise ValueError("G must lie in [-1, 1]")
         if self.n_bins < 2:
             raise ValueError("need at least 2 angular bins")
-        ticks = self.T_orbit / self.clock
+        ticks = self.T_orbit / CLOCK_S
         if abs(ticks - round(ticks)) > 1e-6:
             raise ValueError("T_orbit must be an integer number of clock ticks")
         if round(ticks) % self.n_bins:
@@ -79,7 +79,7 @@ class TrackerConfig:
 
     @property
     def samples_per_orbit(self) -> int:
-        return round(self.T_orbit / self.clock)
+        return round(self.T_orbit / CLOCK_S)
 
     @property
     def samples_per_bin(self) -> int:
@@ -230,13 +230,13 @@ def track(truth: Trajectory, cfg: TrackerConfig, brightness: float, seed,
 
     # per-plane peak rate such that the locked detected rate is `brightness`
     atten = cfg.lock_attenuation
-    amp_top = brightness * (1.0 - cfg.G) / atten * cfg.clock
-    amp_bot = brightness * (1.0 + cfg.G) / atten * cfg.clock
+    amp_top = brightness * (1.0 - cfg.G) / atten * CLOCK_S
+    amp_bot = brightness * (1.0 + cfg.G) / atten * CLOCK_S
 
     theta = 2.0 * np.pi * (np.arange(S) + 0.5) / S
     bx = cfg.R_xy * np.cos(theta)
     by = cfg.R_xy * np.sin(theta)
-    tick_frac = (np.arange(S) + 0.5) * cfg.clock
+    tick_frac = (np.arange(S) + 0.5) * CLOCK_S
     tt = truth.times
     tp = truth.points
 

@@ -1,10 +1,14 @@
 """End-to-end command-line tests: configs, outputs, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ndsense
 from ndsense import chip, cli
 from ndsense.trajectory import Trajectory
 
@@ -263,6 +267,28 @@ def test_analyze_radius_fit(tmp_path):
     assert np.isfinite(sigma)
 
 
+VISCOUS = {"kind": "viscous", "eta0_pa_s": 0.301, "mu_pa_s_per_C": 0.0208, "T_ref_C": 35.0}
+
+
+@pytest.mark.parametrize("n_traj, temps, medium", [
+    (4, [33.0, 36.0, 39.0], VISCOUS),
+    (3, [33.0, 36.0], VISCOUS),
+    (2, [33.0, 36.0], VISCOUS),
+    (3, [33.0, 36.0, "39"], VISCOUS),
+    (3, [33.0, 36.0, 39.0], {"kind": "viscous", "eta0_pa_s": 0.301}),
+], ids=["temp-short", "traj-short-of-temps", "two-runs", "string-temp", "no-viscosity-model"])
+def test_radius_fit_config_errors_exit_1_before_writing(tmp_path, odmr_run, capsys,
+                                                        n_traj, temps, medium):
+    cfg = write_config(tmp_path / "cfg.json",
+                       {"schema_version": 1, "seed": 1, "medium": medium,
+                        "analysis": {"radius_fit": {"temps_C": temps}}})
+    out = tmp_path / "out"
+    argv = ["analyze", "--config", cfg, "--out-dir", str(out)]
+    assert cli.main(argv + ["--traj", str(odmr_run / "truth.csv")] * n_traj) == 1
+    assert "radius_fit" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_analyze_temperature_allan(tmp_path, odmr_run):
     cfg = write_config(tmp_path / "cfg.json",
                        {"schema_version": 1, "seed": 1})
@@ -387,6 +413,18 @@ def test_gamma_null_command(tmp_path, capsys):
         result = json.load(fh)
     assert result["critical_gamma"] == pytest.approx(0.2276, abs=5e-3)
     assert (tmp_path / "gamma_null.csv").exists()
+
+
+def test_module_entry_point_runs_without_warnings(tmp_path):
+    # runpy warns when the package has already imported the module it runs
+    src = os.path.dirname(os.path.dirname(ndsense.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "ndsense.cli",
+                           "gamma-null", "--out-dir", str(tmp_path)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "gamma_null.json").exists()
 
 
 def test_runtime_failure_exits_2(tmp_path):

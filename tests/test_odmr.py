@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ndsense import odmr
+from ndsense import chip, odmr
 from ndsense.seeding import substream
 
 from _oracles import fisher_sigma, lorentzian_pair, naive_allan
@@ -174,6 +174,13 @@ def test_crb_bare_parameter_names_mean_the_first_dip():
         odmr.crb(SHAPE, 10.0, GRID, params=("lam0", "width"))
 
 
+@pytest.mark.parametrize("name", ["center0", "center3", "centerx", "hwhm12", "contrasts"])
+def test_crb_rejects_malformed_parameter_names(name):
+    # the default shape has two dips, so only indices 1 and 2 exist
+    with pytest.raises(ValueError, match="unknown parameter"):
+        odmr.crb(SHAPE, 10.0, GRID, params=("lam0", "delta_f", name))
+
+
 def test_crb_singular_parameterization():
     single = odmr.Lineshape.single(2.87e9)
     # a rigid center shift and delta_f are indistinguishable
@@ -188,10 +195,9 @@ def test_shift_bound_per_scan_value():
 
 
 def test_scan_timing():
-    t = odmr.ScanTiming()
-    assert t.scans_per_second == pytest.approx(400.0)
-    assert t.scan_s == pytest.approx(200 * 1e-5)
-    assert 0 < t.duty < 1
+    gate = chip.DutyCycleSchedule()
+    assert gate.scans_per_second(200) == 400
+    assert gate.scans_per_second(100) == 800
 
 
 def test_temperature_sensitivity_value():
@@ -199,9 +205,17 @@ def test_temperature_sensitivity_value():
     assert sens == pytest.approx(2.0998, abs=2e-3)
     # consistency with its own ingredients
     per_scan = odmr.shift_bound_per_scan(SHAPE, 10.0)
-    timing = odmr.ScanTiming()
-    manual = per_scan / np.sqrt(timing.scans_per_second) / 60e3
+    rate = chip.DutyCycleSchedule().scans_per_second(200)
+    manual = per_scan / np.sqrt(rate) / 60e3
     assert sens == pytest.approx(manual, rel=1e-9)
+
+
+def test_sensitivity_scan_rate_follows_grid_length():
+    # a 100-point sweep takes 1 ms, so the 0.16 s gate fits 160 of them per 0.2 s
+    grid = odmr.default_grid(n_points=100)
+    sens = odmr.crb_temperature_sensitivity(SHAPE, 10.0, -60.0, freqs=grid)
+    per_scan = odmr.shift_bound_per_scan(SHAPE, 10.0, grid)
+    assert sens == pytest.approx(per_scan / np.sqrt(800) / 60e3, rel=1e-12)
 
 
 def test_lineshape_bound_comparison():

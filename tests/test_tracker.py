@@ -30,7 +30,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         tracker.TrackerConfig(n_bins=1)
     with pytest.raises(ValueError):
-        tracker.TrackerConfig(T_orbit=9.6e-3, clock=7e-6)  # non-integer ticks
+        tracker.TrackerConfig(T_orbit=9.605e-3)  # non-integer ticks
     with pytest.raises(ValueError):
         tracker.TrackerConfig(n_bins=7)  # 960 ticks don't split into 7 bins
 
