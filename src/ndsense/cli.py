@@ -237,7 +237,7 @@ def cmd_simulate(args) -> int:
         kappa_sigma = float(od_cfg.get("kappa_sigma_khz_per_C", 0.4))
         lam0 = float(od_cfg.get("lam0", odmr.DEFAULT_PHOTON_BUDGET))
         duration = float(od_cfg.get("duration_s", cfg["simulate"]["duration_s"]))
-        bin_s = float(od_cfg.get("bin_s", 0.4))
+        bin_s = float(od_cfg.get("bin_s", odmr.DEFAULT_BIN_S))
         if schedule is not None:
             base = schedule.steps[0][1]
             times, temps = chip.setpoint_series(schedule, dt=bin_s, duration=duration)

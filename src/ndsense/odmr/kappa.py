@@ -12,6 +12,7 @@ from .._table import read_table, write_table
 from ..seeding import as_generator
 
 __all__ = [
+    "DEFAULT_BIN_S",
     "DEFAULT_KAPPA_KHZ_PER_C",
     "KappaCalibration",
     "TemperatureSeries",
@@ -23,6 +24,7 @@ __all__ = [
 ]
 
 DEFAULT_KAPPA_KHZ_PER_C = -60.0
+DEFAULT_BIN_S = 0.4  # s of scans per shift fit and temperature sample
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from scipy.optimize import curve_fit
 
 from ..chip import DutyCycleSchedule
 from ..seeding import as_generator
+from .kappa import DEFAULT_BIN_S
 from .lineshape import Lineshape, default_grid
 from .scan import build_interpolation, fit_shift, synthesize_scan
 
@@ -111,6 +112,17 @@ def shift_bound_per_scan(shape: Lineshape, lam0: float, freqs=None) -> float:
     return float(np.sqrt(1.0 / (lam0 * info)))
 
 
+def _scans_per_second(n_points: int) -> float:
+    """Sweeps of n_points ticks per second that the chip's microwave gate
+    completes; raises if not even one sweep fits in the gate."""
+    gate = DutyCycleSchedule()
+    rate = gate.scans_per_second(n_points)
+    if rate == 0:
+        raise ValueError(f"a {n_points}-point sweep does not fit in the "
+                         f"{gate.mw_on:g} s microwave gate")
+    return rate
+
+
 def crb_temperature_sensitivity(shape: Lineshape, lam0: float,
                                 kappa_khz_per_C: float,
                                 freqs=None) -> float:
@@ -124,7 +136,7 @@ def crb_temperature_sensitivity(shape: Lineshape, lam0: float,
     if freqs is None:
         freqs = default_grid()
     sigma_scan = shift_bound_per_scan(shape, lam0, freqs)
-    sigma_1s = sigma_scan / np.sqrt(DutyCycleSchedule().scans_per_second(len(freqs)))
+    sigma_1s = sigma_scan / np.sqrt(_scans_per_second(len(freqs)))
     return float(sigma_1s / abs(kappa_khz_per_C * 1e3))
 
 
@@ -200,7 +212,7 @@ class ShiftSeries:
 
 
 def simulate_shift_series(shape: Lineshape, lam0: float, duration_s: float,
-                          seed, delta_f_of_t=None, bin_s: float = 0.4, freqs=None,
+                          seed, delta_f_of_t=None, bin_s: float = DEFAULT_BIN_S, freqs=None,
                           fit_shape: Lineshape | None = None) -> ShiftSeries:
     """Synthesize a gated scan stream and fit per-bin frequency shifts.
 
@@ -213,7 +225,7 @@ def simulate_shift_series(shape: Lineshape, lam0: float, duration_s: float,
         freqs = default_grid()
     freqs = np.asarray(freqs, dtype=float)
     rng = as_generator(seed)
-    scans_per_bin = int(round(bin_s * DutyCycleSchedule().scans_per_second(len(freqs))))
+    scans_per_bin = int(round(bin_s * _scans_per_second(len(freqs))))
     if scans_per_bin < 1:
         raise ValueError("bin shorter than one scan")
     n_bins = int(duration_s / bin_s)

@@ -186,15 +186,27 @@ class TrackDiagnostics:
     locked: np.ndarray       # bool per update (residual within 3*w_xy)
     lock_lost: bool          # 5 consecutive unlocked updates occurred
     lock_lost_at: int        # update index where loss was declared, or -1
+    n_dark: int              # orbits without a photon; the center held still
 
     def to_csv(self, path) -> None:
         write_table(path, [("t_s", self.times, "%.6f"), ("err_nm", self.residual_nm, "%.6f"),
                            ("locked", self.locked, "%d")])
 
 
+# Orbits whose truth is interpolated at once; each per-tick array of a
+# block is 64 x 960 float64 = 0.5 MB at the default clock.
+_BLOCK_ORBITS = 64
+
+
 def track(truth: Trajectory, cfg: TrackerConfig, brightness: float, seed,
           modulation=None, initial_offset=(0.0, 0.0, 0.0), shot_noise: bool = True):
     """Run the closed feedback loop against a moving ground-truth emitter.
+
+    Each orbit sums the expected per-tick counts of each plane into the
+    angular bins and draws one Poisson count per bin and plane. A sum of
+    independent Poisson variables is Poisson with the summed mean, so this
+    is exact in distribution for per-tick photon counting. The fit and the
+    correction are those of `fit_orbit` and `correction`, inlined.
 
     Parameters
     ----------
@@ -208,8 +220,10 @@ def track(truth: Trajectory, cfg: TrackerConfig, brightness: float, seed,
     seed : int or Generator
         Photon shot-noise stream.
     modulation : callable, optional
-        ``modulation(t)`` -> rate multiplier per clock sample, used to
-        impose ODMR spin-contrast dips on the photon stream.
+        ``modulation(t)`` -> rate multiplier per clock tick, used to impose
+        ODMR spin-contrast dips on the photon stream. It is called once per
+        block of orbits with the 1-D array of the block's tick times and
+        scales each tick's rate before the bin sums.
     initial_offset : tuple
         Initial orbit-center displacement from the truth start position.
     shot_noise : bool
@@ -224,14 +238,24 @@ def track(truth: Trajectory, cfg: TrackerConfig, brightness: float, seed,
         raise ValueError("brightness must be positive")
     rng = as_generator(seed)
     S = cfg.samples_per_orbit
+    nb = cfg.n_bins
     n_orbits = int(truth.duration / cfg.T_orbit)
     if n_orbits < 1:
         raise ValueError("truth shorter than one orbit period")
 
-    # per-plane peak rate such that the locked detected rate is `brightness`
-    atten = cfg.lock_attenuation
-    amp_top = brightness * (1.0 - cfg.G) / atten * CLOCK_S
-    amp_bot = brightness * (1.0 + cfg.G) / atten * CLOCK_S
+    # per-plane (top, bottom) peak counts per tick such that the locked
+    # detected rate is `brightness`
+    amp = np.array([[1.0 - cfg.G], [1.0 + cfg.G]]) * (
+        brightness / cfg.lock_attenuation * CLOCK_S)
+    plane_z = np.array([[cfg.R_z], [-cfg.R_z]])
+    kxy = -2.0 / cfg.w_xy ** 2
+    kz = -2.0 / cfg.w_z ** 2
+    # bin sums and first Fourier moments, the sufficient statistics of fit_orbit
+    theta_bins = _bin_centers(cfg)
+    moments = np.column_stack([np.ones(nb), np.cos(theta_bins), np.sin(theta_bins)])
+    gain_xy = 2.0 * cfg.gain * cfg.eps_xy
+    gain_z = cfg.gain * cfg.eps_z
+    G = cfg.G
 
     theta = 2.0 * np.pi * (np.arange(S) + 0.5) / S
     bx = cfg.R_xy * np.cos(theta)
@@ -240,39 +264,41 @@ def track(truth: Trajectory, cfg: TrackerConfig, brightness: float, seed,
     tt = truth.times
     tp = truth.points
 
-    center = tp[0] + np.asarray(initial_offset, dtype=float)
+    cx, cy, cz = (tp[0] + np.asarray(initial_offset, dtype=float)).tolist()
     est = np.empty((n_orbits, 3))
-    nb = cfg.n_bins
+    n_dark = 0
 
-    for k in range(n_orbits):
-        t_ticks = truth.t0 + k * cfg.T_orbit + tick_frac
-        ex = np.interp(t_ticks, tt, tp[:, 0])
-        ey = np.interp(t_ticks, tt, tp[:, 1])
-        ez = np.interp(t_ticks, tt, tp[:, 2])
-        dx = bx + center[0] - ex
-        dy = by + center[1] - ey
-        dz = center[2] - ez
-        transverse = np.exp(-2.0 * (dx * dx + dy * dy) / cfg.w_xy ** 2)
-        lam_top = amp_top * transverse * np.exp(-2.0 * (cfg.R_z + dz) ** 2 / cfg.w_z ** 2)
-        lam_bot = amp_bot * transverse * np.exp(-2.0 * (dz - cfg.R_z) ** 2 / cfg.w_z ** 2)
+    for k0 in range(0, n_orbits, _BLOCK_ORBITS):
+        k1 = min(k0 + _BLOCK_ORBITS, n_orbits)
+        t_ticks = (truth.t0 + cfg.T_orbit * np.arange(k0, k1)[:, None] + tick_frac).ravel()
+        # beam (and collection plane) minus emitter per tick, before the orbit center
+        ux = bx - np.interp(t_ticks, tt, tp[:, 0]).reshape(-1, S)
+        uy = by - np.interp(t_ticks, tt, tp[:, 1]).reshape(-1, S)
+        uz = plane_z - np.interp(t_ticks, tt, tp[:, 2]).reshape(-1, 1, S)
         if modulation is not None:
-            m = modulation(t_ticks)
-            lam_top = lam_top * m
-            lam_bot = lam_bot * m
-        if shot_noise:
-            counts_top = rng.poisson(lam_top)
-            counts_bot = rng.poisson(lam_bot)
-        else:
-            counts_top = lam_top
-            counts_bot = lam_bot
-        frame = OrbitFrame(counts_top.reshape(nb, -1).sum(axis=1),
-                           counts_bot.reshape(nb, -1).sum(axis=1))
-        try:
-            fit = fit_orbit(frame, cfg)
-            center = center + cfg.gain * correction(fit, cfg)
-        except TrackingLossError:
-            pass  # dark orbit: hold position, residual will show the loss
-        est[k] = center
+            mod = np.broadcast_to(modulation(t_ticks), t_ticks.shape).reshape(-1, S)
+        for j in range(k1 - k0):
+            dx = ux[j] + cx
+            dy = uy[j] + cy
+            dz = uz[j] + cz
+            lam = np.exp(kxy * (dx * dx + dy * dy) + kz * (dz * dz))
+            if modulation is not None:
+                lam *= mod[j]
+            lam = amp * lam.reshape(2, nb, -1).sum(axis=2)
+            counts = rng.poisson(lam) if shot_noise else lam
+            (s_top, a_top, b_top), (s_bot, a_bot, b_bot) = (counts @ moments).tolist()
+            s = s_top + s_bot
+            if s > 0:
+                r = (s_bot - s_top) / s
+                rg = r * G
+                if abs(rg - 1.0) < 1e-12:
+                    raise ValueError("singular axial geometry: r*G = 1")
+                cx += gain_xy * (a_top + a_bot) / s
+                cy += gain_xy * (b_top + b_bot) / s
+                cz += gain_z * (r - G) / (rg - 1.0)
+            else:
+                n_dark += 1  # no photon: hold position, residual will show the loss
+            est[k0 + j] = cx, cy, cz
 
     estimate = Trajectory(dt=cfg.T_orbit, points=est, t0=truth.t0 + cfg.T_orbit,
                           meta={"generator": "tracker", "brightness_cps": brightness})
@@ -285,7 +311,8 @@ def track(truth: Trajectory, cfg: TrackerConfig, brightness: float, seed,
     lost = np.flatnonzero(np.convolve(~locked, np.ones(5, int))[:n_orbits] == 5)
     lock_lost_at = int(lost[0]) if lost.size else -1
     diag = TrackDiagnostics(times=times, residual_nm=resid, locked=locked,
-                            lock_lost=lock_lost_at >= 0, lock_lost_at=lock_lost_at)
+                            lock_lost=lock_lost_at >= 0, lock_lost_at=lock_lost_at,
+                            n_dark=n_dark)
     return estimate, diag
 
 

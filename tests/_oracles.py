@@ -142,3 +142,48 @@ def mc_directionality_null(N: int, n_windows: int, rng: np.random.Generator):
         net = np.linalg.norm(steps.sum(axis=0))
         out[i] = net / path
     return out
+
+
+# ----------------------------------------------------------------- tracker
+
+def reference_track(truth, cfg, brightness: float, modulation=None,
+                    initial_offset=(0.0, 0.0, 0.0)) -> np.ndarray:
+    """Noise-free closed tracking loop, one orbit at a time.
+
+    Expected counts of every clock tick of an orbit come from
+    `tracker.expected_rate`, times the tick's `modulation`, and are added
+    into their angular bin of an `OrbitFrame`; `fit_orbit` and `correction`
+    then move the center. A frame without photons holds the center.
+    Returns the (n_orbits, 3) orbit centers after each update.
+    """
+    from ndsense.chip import CLOCK_S
+    from ndsense.tracker import (OrbitFrame, TrackingLossError, correction,
+                                 expected_rate, fit_orbit)
+
+    S = cfg.samples_per_orbit
+    tick = np.arange(S)
+    bin_of_tick = tick * cfg.n_bins // S
+    theta = 2.0 * np.pi * (tick + 0.5) / S
+    beam = np.column_stack([cfg.R_xy * np.cos(theta), cfg.R_xy * np.sin(theta),
+                            np.zeros(S)])
+    peak = brightness / cfg.lock_attenuation  # counts/s at the PSF peak
+    i_top, i_bottom = peak * (1.0 - cfg.G), peak * (1.0 + cfg.G)
+    center = truth.points[0] + np.asarray(initial_offset, dtype=float)
+    n_orbits = int(truth.duration / cfg.T_orbit)
+    out = np.empty((n_orbits, 3))
+    for k in range(n_orbits):
+        t = truth.t0 + k * cfg.T_orbit + (tick + 0.5) * CLOCK_S
+        emitter = np.column_stack([np.interp(t, truth.times, truth.points[:, a])
+                                   for a in range(3)])
+        scale = CLOCK_S * (np.ones(S) if modulation is None else modulation(t))
+        counts = [np.bincount(bin_of_tick, minlength=cfg.n_bins, weights=scale
+                              * expected_rate(emitter - center, beam, plane, cfg,
+                                              i_top, i_bottom))
+                  for plane in ("top", "bottom")]
+        try:
+            center = center + cfg.gain * correction(
+                fit_orbit(OrbitFrame(*counts), cfg), cfg)
+        except TrackingLossError:
+            pass
+        out[k] = center
+    return out

@@ -218,6 +218,16 @@ def test_sensitivity_scan_rate_follows_grid_length():
     assert sens == pytest.approx(per_scan / np.sqrt(800) / 60e3, rel=1e-12)
 
 
+def test_sweep_longer_than_gate_is_rejected():
+    # 20,000 ticks of 10 us take 0.2 s, more than the 0.16 s microwave gate
+    grid = odmr.default_grid(n_points=20000)
+    assert chip.DutyCycleSchedule().scans_per_second(len(grid)) == 0
+    with pytest.raises(ValueError, match="does not fit in the 0.16 s microwave gate"):
+        odmr.crb_temperature_sensitivity(SHAPE, 10.0, -60.0, freqs=grid)
+    with pytest.raises(ValueError, match="does not fit in the 0.16 s microwave gate"):
+        odmr.simulate_shift_series(SHAPE, 10.0, 8.0, 0, freqs=grid)
+
+
 def test_lineshape_bound_comparison():
     ref = odmr.synthesize_scan(SHAPE, 10.0, 0.0, substream(11, "tbl"),
                                n_scans=100000)

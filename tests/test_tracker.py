@@ -5,6 +5,8 @@ from ndsense import media, tracker
 from ndsense.seeding import substream
 from ndsense.trajectory import Trajectory
 
+from _oracles import reference_track
+
 
 CFG = tracker.TrackerConfig()
 
@@ -77,6 +79,9 @@ def test_correction_singularity():
     cfg = tracker.TrackerConfig(G=1.0)
     with pytest.raises(ValueError, match="singular"):
         tracker.correction(fit, cfg)
+    # G = 1 leaves the top plane dark, so every lit orbit has r = 1
+    with pytest.raises(ValueError, match="singular"):
+        tracker.track(static_truth(duration=0.1), cfg, 1e6, seed=0)
 
 
 def test_noise_free_loop_converges_on_static_emitter():
@@ -120,6 +125,13 @@ def test_track_survives_dark_orbits():
                               initial_offset=(10.0, 0.0, 0.0))
     assert np.isfinite(est.points).all()
     assert len(est) == int(2.0 / CFG.T_orbit)
+    # each dark orbit is counted and leaves the center where it was
+    assert diag.n_dark > 0
+    held = (np.diff(est.points, axis=0) == 0).all(axis=1).sum()
+    assert held >= diag.n_dark - 1
+    _, bright = tracker.track(truth, CFG, 2e6, seed=7,
+                              initial_offset=(10.0, 0.0, 0.0))
+    assert bright.n_dark == 0
 
 
 def test_modulation_scale_invariance():
@@ -132,6 +144,55 @@ def test_modulation_scale_invariance():
                                 modulation=lambda t: 0.5 * np.ones_like(t), **kw)
     np.testing.assert_allclose(est_half.points, est_full.points, atol=1e-9)
 
+
+
+def wobbling_truth(n_orbits, t0=0.3):
+    """Smooth 3D motion sampled at 1 ms, lasting just over n_orbits orbits."""
+    n = int((n_orbits + 0.5) * CFG.T_orbit / 1e-3) + 1
+    t = t0 + 1e-3 * np.arange(n)
+    pts = np.column_stack([40.0 * np.sin(2 * np.pi * t / 0.7) + 25.0 * t,
+                           30.0 * np.cos(2 * np.pi * t / 0.45),
+                           20.0 * np.sin(2 * np.pi * t / 0.9)])
+    return Trajectory(dt=1e-3, points=pts, t0=t0)
+
+
+def square_dimming(t):
+    # dims half the ticks, switching every 1.85 ms: inside angular bins
+    # (1.2 ms each) and at a different phase in every orbit
+    return np.where(np.sin(2 * np.pi * t / 3.7e-3) > 0, 1.0, 0.35)
+
+
+@pytest.mark.parametrize("cfg, modulation", [
+    (CFG, None),
+    (CFG, square_dimming),
+    (tracker.TrackerConfig(G=0.2, gain=0.8), square_dimming),
+], ids=["plain", "dimmed", "imbalanced-dimmed"])
+def test_noise_free_track_matches_reference_loop(cfg, modulation):
+    # several blocks of the chunked loop plus a partial last one
+    n_orbits = 2 * tracker._BLOCK_ORBITS + 23
+    truth = wobbling_truth(n_orbits)
+    kw = dict(modulation=modulation, initial_offset=(25.0, -15.0, 20.0))
+    est, diag = tracker.track(truth, cfg, 1e6, seed=0, shot_noise=False, **kw)
+    want = reference_track(truth, cfg, 1e6, **kw)
+    assert len(est) == n_orbits
+    assert diag.n_dark == 0
+    np.testing.assert_allclose(est.points, want, rtol=0, atol=1e-9)
+
+
+def test_per_bin_draws_match_per_tick_mean_counts():
+    # the tracker draws one Poisson count per bin from the summed per-tick
+    # rates; summing per-tick draws must give the same mean counts per bin
+    S, nb, reps = CFG.samples_per_orbit, CFG.n_bins, 400
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        # per-tick means from 1e-3 to 10 counts, some ticks dimmed to zero
+        lam = 10.0 ** rng.uniform(-3.0, 1.0, S) * (rng.random(S) > 0.1)
+        per_tick = rng.poisson(lam, size=(reps, S)).reshape(reps, nb, -1).sum(axis=2)
+        per_bin = rng.poisson(lam.reshape(nb, -1).sum(axis=1), size=(reps, nb))
+        diff = per_tick.mean(axis=0) - per_bin.mean(axis=0)
+        se = np.sqrt((per_tick.var(axis=0, ddof=1) + per_bin.var(axis=0, ddof=1)) / reps)
+        z = diff / se
+        assert np.abs(z).max() < 4.0, (seed, z)
 
 def test_localization_noise_scales_with_brightness():
     rows = tracker.static_benchmark([1e5, 1e6], CFG,
