@@ -14,7 +14,7 @@ from ..chip import DutyCycleSchedule
 from ..seeding import as_generator
 from .kappa import DEFAULT_BIN_S
 from .lineshape import Lineshape, default_grid
-from .scan import build_interpolation, fit_shift, synthesize_scan
+from .scan import OdmrScan, build_interpolation, fit_shifts
 
 __all__ = [
     "CrbResult",
@@ -29,6 +29,10 @@ __all__ = [
 ]
 
 DEFAULT_PHOTON_BUDGET = 10.0  # counts per 10 us sample, both detectors summed
+
+# Bins drawn and fitted per block in simulate_shift_series: bounds the
+# per-point working arrays of the draws and the batched fit.
+_BLOCK_BINS = 256
 
 
 @dataclass(frozen=True)
@@ -235,17 +239,23 @@ def simulate_shift_series(shape: Lineshape, lam0: float, duration_s: float,
     times = bin_s * np.arange(n_bins)
     truth = np.zeros(n_bins) if delta_f_of_t is None else \
         np.asarray([float(delta_f_of_t(t)) for t in times])
-    scans = [synthesize_scan(shape, lam0, truth[k], rng, freqs=freqs,
-                             n_scans=scans_per_bin) for k in range(n_bins)]
+    # Generator.poisson fills an array in C order, so a block's draw is the
+    # stream of one synthesize_scan call per bin
+    counts = np.empty((n_bins, freqs.size), dtype=np.int64)
+    for k in range(0, n_bins, _BLOCK_BINS):
+        rows = slice(k, k + _BLOCK_BINS)
+        counts[rows] = rng.poisson(scans_per_bin * lam0 * shape.value(freqs, truth[rows, None]))
+    total = OdmrScan(freqs, counts.sum(axis=0), n_scans=n_bins * scans_per_bin)
     if fit_shape is None:
-        fit_shape = build_interpolation(scans)
-    fits = [fit_shift(s, fit_shape) for s in scans]
-    ok = np.array([f.converged for f in fits])
+        fit_shape = build_interpolation(total)
+    fits = [fit_shifts(counts[k:k + _BLOCK_BINS], freqs, fit_shape)
+            for k in range(0, n_bins, _BLOCK_BINS)]
+    delta_f, lam_fit, sigma, ok = (np.concatenate(col) for col in zip(*fits))
     return ShiftSeries(
         times=times,
-        delta_f=np.array([f.delta_f for f in fits]),
-        sigma=np.array([f.sigma_delta_f for f in fits]),
-        lam0=np.array([f.lam0 for f in fits]),
+        delta_f=delta_f,
+        sigma=sigma,
+        lam0=lam_fit,
         bin_s=bin_s,
         n_excluded=int((~ok).sum()),
         meta={"scans_per_bin": scans_per_bin, "truth": truth},

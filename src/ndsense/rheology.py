@@ -8,6 +8,7 @@ force balance.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -237,7 +238,9 @@ def msd(traj: Trajectory, axes: str = "xy", lags=None, variance: str = "cov",
     the energy of the axis about its least-squares line, per pair. On
     Brownian walks the relative error grows as about eps*N at lags up to
     N/4 (measured: at most 4e-13 over 3,000 walks of up to 2,000 points),
-    and it is largest where few pairs remain, at lags near N.
+    and it is largest where few pairs remain, at lags near N (2e-8 at lag
+    N - 1 of a 2,000-point walk), so a lag above N/2 raises a
+    RuntimeWarning.
 
     Parameters
     ----------
@@ -246,7 +249,8 @@ def msd(traj: Trajectory, axes: str = "xy", lags=None, variance: str = "cov",
         Subset of "xyz"; per-axis MSDs and variances add because the
         axes are uncorrelated.
     lags : array of int, optional
-        Lags in samples. Defaults to a log-spaced grid up to N/4.
+        Lags in samples, each below N. Defaults to a log-spaced grid up to
+        N/4; lags above N/2 warn (see above).
     variance : {"cov", "printed", "none"}
         Per-lag variance estimator. "cov" uses the covariance-structure
         form, "printed" the literal mean-of-squared-products form.
@@ -271,6 +275,10 @@ def msd(traj: Trajectory, axes: str = "xy", lags=None, variance: str = "cov",
         raise ValueError("lags must be >= 1 sample")
     if lag_arr[-1] >= n:
         raise ValueError(f"lag {lag_arr[-1]} >= trajectory length {n}")
+    if 2 * lag_arr[-1] > n:
+        warnings.warn(f"lag {lag_arr[-1]} is above half the trajectory length {n}; "
+                      "the MSD there rests on few pairs and loses relative accuracy",
+                      RuntimeWarning, stacklevel=2)
     if variance not in ("cov", "printed", "none"):
         raise ValueError("variance must be 'cov', 'printed' or 'none'")
 

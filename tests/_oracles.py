@@ -118,6 +118,60 @@ def fisher_sigma(freqs: np.ndarray, model, dmodel, lam0: float) -> np.ndarray:
     return np.sqrt(np.array([j22 / det, j11 / det]))
 
 
+def _closed_form_lam0(counts, levels):
+    denom = float(np.dot(levels, levels))
+    return float(np.dot(counts, levels)) / denom
+
+
+def reference_fit_shift(scan, shape, max_shift: float | None = None):
+    """Two-parameter least squares fit of lam0 * L(f - delta_f) to one scan.
+
+    The scalar fit the batched `odmr.fit_shifts` replaces: the amplitude
+    is solved in closed form at each candidate shift, and scipy's
+    `minimize_scalar(method="bounded")` searches delta_f.
+    """
+    from scipy.optimize import minimize_scalar
+
+    from ndsense.odmr import FitShiftResult
+
+    counts = scan.counts.astype(float)
+    freqs = scan.freqs
+    span = freqs[-1] - freqs[0]
+    if max_shift is None:
+        max_shift = 0.5 * span
+
+    def sse(df):
+        lv = shape.value(freqs, df)
+        a = _closed_form_lam0(counts, lv)
+        r = counts - a * lv
+        return float(np.dot(r, r))
+
+    res = minimize_scalar(sse, bounds=(-max_shift, max_shift), method="bounded",
+                          options={"xatol": 1.0})
+    df_hat = float(res.x)
+    lv = shape.value(freqs, df_hat)
+    lam_tot = _closed_form_lam0(counts, lv)
+    converged = bool(res.success) and abs(df_hat) < 0.999 * max_shift and lam_tot > 0
+
+    # Gauss-Newton covariance of (lam0, delta_f) at the optimum
+    dldf = shape.derivative(freqs, df_hat)
+    j1 = lv
+    j2 = -lam_tot * dldf
+    jtj = np.array([[np.dot(j1, j1), np.dot(j1, j2)],
+                    [np.dot(j2, j1), np.dot(j2, j2)]])
+    r = counts - lam_tot * lv
+    dof = max(counts.size - 2, 1)
+    s2 = float(np.dot(r, r)) / dof
+    try:
+        cov = s2 * np.linalg.inv(jtj)
+        sigma = float(np.sqrt(max(cov[1, 1], 0.0)))
+    except np.linalg.LinAlgError:
+        sigma = float("inf")
+        converged = False
+    return FitShiftResult(lam0=lam_tot, delta_f=df_hat, sigma_delta_f=sigma,
+                          converged=converged)
+
+
 def naive_allan(values: np.ndarray, sample_s: float, m: int) -> float:
     """Overlapping Allan deviation at averaging factor m, by direct loops."""
     x = np.asarray(values, dtype=float)

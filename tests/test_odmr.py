@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ndsense import chip, odmr
+from ndsense.odmr.sensitivity import _BLOCK_BINS
 from ndsense.seeding import substream
 
-from _oracles import fisher_sigma, lorentzian_pair, naive_allan
+from _oracles import fisher_sigma, lorentzian_pair, naive_allan, reference_fit_shift
 
 
 SHAPE = odmr.default_lineshape()
@@ -122,6 +125,61 @@ def test_fit_shift_flags_boundary():
                                 n_scans=2000)
     fit = odmr.fit_shift(scan, SHAPE, max_shift=2e6)
     assert not fit.converged
+
+
+TABLE = odmr.build_interpolation(
+    odmr.synthesize_scan(SHAPE, 10.0, 0.0, substream(21, "table"), n_scans=2000))
+FIT_SHAPES = {"double": SHAPE, "single": odmr.Lineshape.single(), "table": TABLE}
+
+
+def _fit_fields(fits):
+    """delta_f, lam0, sigma and converged arrays of scalar fit results."""
+    return [np.array([getattr(f, name) for f in fits])
+            for name in ("delta_f", "lam0", "sigma_delta_f", "converged")]
+
+
+def _assert_bits_equal(got, want):
+    for g, w in zip(got, want, strict=True):
+        np.testing.assert_array_equal(g, w)
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+@st.composite
+def scan_batches(draw):
+    """A stack of Poisson scans of one lineshape at random shifts, some
+    outside the grid, with bright to nearly dark bins, and a search bound
+    that is the default half-span or small enough to stop the search."""
+    shape = FIT_SHAPES[draw(st.sampled_from(sorted(FIT_SHAPES)))]
+    freqs = odmr.default_grid(n_points=draw(st.integers(8, 200)))
+    shifts = draw(st.lists(st.floats(-70e6, 70e6), min_size=1, max_size=12))
+    level = draw(st.sampled_from([0.01, 0.3, 10.0])) * draw(st.integers(1, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = rng.poisson(level * shape.value(freqs, np.array(shifts)[:, None]))
+    max_shift = draw(st.one_of(st.none(), st.floats(0.0, 40e6)))
+    return counts, freqs, shape, max_shift
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=scan_batches())
+def test_fit_shifts_matches_scalar_reference(case):
+    counts, freqs, shape, max_shift = case
+    got = odmr.fit_shifts(counts, freqs, shape, max_shift)
+    _assert_bits_equal(got, _fit_fields([reference_fit_shift(
+        odmr.OdmrScan(freqs, c), shape, max_shift) for c in counts]))
+
+
+def test_fit_shifts_singular_lane():
+    # a dark bin fits lam0 = 0, whose normal matrix is singular; the batched
+    # inverse fails for the whole stack, so only that lane may lose its sigma
+    rng = np.random.default_rng(5)
+    counts = rng.poisson(1600.0 * SHAPE.value(GRID, np.array([0.0, 1e6, -2e6, 5e5])[:, None]))
+    counts[2] = 0
+    got = odmr.fit_shifts(counts, GRID, SHAPE)
+    _assert_bits_equal(got, _fit_fields([reference_fit_shift(odmr.OdmrScan(GRID, c), SHAPE)
+                                         for c in counts]))
+    delta_f, lam0, sigma, converged = got
+    assert sigma[2] == np.inf and not converged[2] and lam0[2] == 0.0
+    assert np.isfinite(sigma[[0, 1, 3]]).all() and converged[[0, 1, 3]].all()
 
 
 def test_average_shifts():
@@ -265,6 +323,36 @@ def test_simulate_shift_series_tracks_drift():
     assert late - early == pytest.approx(step, abs=1.5e5)
     np.testing.assert_allclose(series.meta["truth"],
                                np.where(series.times >= 12.0, step, 0.0))
+
+
+def test_block_draws_match_per_bin_scans():
+    # one synthesize_scan and one scalar fit per bin, all from one generator,
+    # against the block draws and batched fits; the last block is partial
+    n_bins = _BLOCK_BINS + 44
+    drift = lambda t: -3e6 * np.sin(0.05 * t)
+    series = odmr.simulate_shift_series(SHAPE, 10.0, 0.4 * n_bins,
+                                        substream(17, "odmr-photons"),
+                                        delta_f_of_t=drift)
+    rng = substream(17, "odmr-photons")
+    scans = [odmr.synthesize_scan(SHAPE, 10.0, drift(t), rng, n_scans=160)
+             for t in 0.4 * np.arange(n_bins)]
+    table = odmr.build_interpolation(scans)
+    fits = [reference_fit_shift(s, table) for s in scans]
+    assert series.times.size == n_bins and n_bins % _BLOCK_BINS
+    delta_f, lam0, sigma, converged = _fit_fields(fits)
+    _assert_bits_equal((series.delta_f, series.lam0, series.sigma), (delta_f, lam0, sigma))
+    assert series.n_excluded == (~converged).sum()
+
+
+@pytest.mark.filterwarnings("error")
+def test_simulate_shift_series_emits_no_warning():
+    # lanes that take a golden-section step still compute the masked
+    # parabolic step p / q, where q can be 0; nearly dark bins have singular fits
+    odmr.simulate_shift_series(SHAPE, 10.0, 40.0, substream(19, "odmr-photons"),
+                               delta_f_of_t=lambda t: 1e6 * (t - 20.0))
+    dim = odmr.simulate_shift_series(SHAPE, 1e-4, 40.0, substream(19, "dim"),
+                                     fit_shape=SHAPE)
+    assert dim.n_excluded > 0
 
 
 # ------------------------------------------------------------------- Allan

@@ -139,6 +139,15 @@ def test_msd_validation():
         rheology.msd(traj, lags=[1], variance="bogus")
 
 
+@pytest.mark.filterwarnings("error")
+def test_msd_warns_on_lags_above_half_length():
+    traj = random_walk(n=200, seed=6)
+    with pytest.warns(RuntimeWarning, match="above half the trajectory length 200"):
+        rheology.msd(traj, lags=[1, 199])
+    rheology.msd(traj, lags=[1, 50])
+    rheology.msd(traj, lags=[100])
+
+
 def test_msd_axes_sum():
     traj = random_walk(n=120, seed=7)
     lags = [1, 5]
