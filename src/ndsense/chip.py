@@ -35,6 +35,7 @@ __all__ = [
 DEFAULT_ETA_PER_C = 2.44e-3
 DEFAULT_ETA_SIGMA_PER_C = 0.12e-3
 CLOCK_S = 1e-5  # global synchronization clock period
+SETPOINT_COLUMNS = ("t_s", "T_C")  # header of setpoints_to_csv
 
 # first-order lag constant such that a step settles to 99% in 2 minutes
 DEFAULT_RAMP_TAU_S = 120.0 / np.log(100.0)
@@ -55,12 +56,11 @@ class RtdCalibration:
             raise ValueError("eta must be positive")
 
 
-def rtd_temperature(R: float, cal: RtdCalibration, with_sigma: bool = False,
-                    eta_sigma: float = DEFAULT_ETA_SIGMA_PER_C):
+def rtd_temperature(R: float, cal: RtdCalibration, with_sigma: bool = False):
     """Temperature (C) from an RTD resistance: T = T0 + (R/R0 - 1)/eta.
 
-    With `with_sigma` the eta calibration uncertainty is propagated and
-    (T, sigma_T) is returned.
+    With `with_sigma` the eta calibration uncertainty
+    (`DEFAULT_ETA_SIGMA_PER_C`) is propagated and (T, sigma_T) is returned.
     """
     R = np.asarray(R, dtype=float)
     if (R <= 0).any():
@@ -70,7 +70,7 @@ def rtd_temperature(R: float, cal: RtdCalibration, with_sigma: bool = False,
     t = float(t) if t.ndim == 0 else t
     if not with_sigma:
         return t
-    sigma = np.abs(ratio) * eta_sigma / cal.eta ** 2
+    sigma = np.abs(ratio) * DEFAULT_ETA_SIGMA_PER_C / cal.eta ** 2
     sigma = float(sigma) if np.ndim(sigma) == 0 else sigma
     return t, sigma
 
@@ -210,4 +210,5 @@ def timeline_to_csv(events, path) -> None:
 
 
 def setpoints_to_csv(times, temps, path) -> None:
-    write_table(path, [("t_s", times, "%.6f"), ("T_C", temps, "%.6f")])
+    write_table(path, [(name, col, "%.6f")
+                       for name, col in zip(SETPOINT_COLUMNS, (times, temps))])

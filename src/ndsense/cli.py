@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from collections import Counter
+from functools import partial
 
 import numpy as np
 
@@ -29,6 +30,8 @@ _SHIFT_COLUMNS = ("t_s", "delta_f_hz", "sigma_hz")
 # tracker config keys and the TrackerConfig fields they set
 _TRACKER_FIELDS = {"T_orbit_s": "T_orbit", "R_xy_nm": "R_xy", "w_xy_nm": "w_xy",
                    "R_z_nm": "R_z", "w_z_nm": "w_z", "G": "G", "gain": "gain"}
+# viscous-medium config keys and the ViscousMediumModel fields they set
+_VISCOUS_FIELDS = {"eta0_pa_s": "eta0", "mu_pa_s_per_C": "mu", "T_ref_C": "T_ref"}
 
 # Allowed keys of each config section, by path; a path ending in "[]" is a
 # list of sections. Parents come first, so they are known to be objects
@@ -36,9 +39,8 @@ _TRACKER_FIELDS = {"T_orbit_s": "T_orbit", "R_xy_nm": "R_xy", "w_xy_nm": "w_xy",
 _SCHEMA = {
     "config": {"schema_version", "seed", "medium", "simulate", "tracker",
                "odmr", "schedule", "analysis"},
-    "config.medium": {"kind", "D_nm2_per_s", "eta0_pa_s", "mu_pa_s_per_C",
-                      "T_ref_C", "temperature_C", "radius_nm", "alpha",
-                      "K_alpha"},
+    "config.medium": {"kind", "D_nm2_per_s", *_VISCOUS_FIELDS, "temperature_C",
+                      "radius_nm", "alpha", "K_alpha"},
     "config.simulate": {"duration_s", "dt_s", "directed"},
     "config.simulate.directed[]": {"start_step", "n_steps", "velocity_nm_per_s"},
     "config.tracker": {"enabled", "brightness_cps", *_TRACKER_FIELDS},
@@ -189,18 +191,16 @@ def _simulate_truth(cfg: dict, seed: int) -> Trajectory:
 
 
 def _viscous_model(med: dict) -> media.ViscousMediumModel:
-    return media.ViscousMediumModel(
-        eta0=float(_need(med, "eta0_pa_s", "medium")),
-        mu=float(_need(med, "mu_pa_s_per_C", "medium")),
-        T_ref=float(_need(med, "T_ref_C", "medium")))
+    return media.ViscousMediumModel(**{field: float(_need(med, key, "medium"))
+                                       for key, field in _VISCOUS_FIELDS.items()})
 
 
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     seed = _master_seed(cfg, args)
-    out = _out_dir(args)
 
     truth = _simulate_truth(cfg, seed)
+    duration_s = float(cfg["simulate"]["duration_s"])
 
     tr_cfg = cfg.get("tracker", {})
     # keys left out take the TrackerConfig defaults
@@ -209,56 +209,53 @@ def cmd_simulate(args) -> int:
     od_cfg = cfg.get("odmr", {})
     schedule = _build_schedule(cfg["schedule"]) if "schedule" in cfg else None
 
-    # validation done; now write outputs
-    truth.to_csv(os.path.join(out, "truth.csv"))
-    written = ["truth.csv"]
+    # every output is computed before the first is written, so a failed
+    # run leaves no files behind; each value writes one file
+    outputs = {"truth.csv": truth.to_csv}
 
     if tr_cfg.get("enabled", False):
         brightness = float(tr_cfg.get("brightness_cps", 2e6))
         est, diag = tracker.track(truth, tcfg, brightness,
                                   substream(seed, "tracker-photons"))
-        est.to_csv(os.path.join(out, "estimate.csv"))
-        diag.to_csv(os.path.join(out, "diagnostics.csv"))
-        written += ["estimate.csv", "diagnostics.csv"]
+        outputs.update({"estimate.csv": est.to_csv, "diagnostics.csv": diag.to_csv})
 
     if schedule is not None:
-        times, temps = chip.setpoint_series(
-            schedule, dt=1.0, duration=float(cfg["simulate"]["duration_s"]))
-        chip.setpoints_to_csv(times, temps,
-                              os.path.join(out, "setpoints.csv"))
+        times, temps = chip.setpoint_series(schedule, dt=1.0, duration=duration_s)
         events = chip.schedule_timeline(chip.DutyCycleSchedule(),
-                                        duration=min(2.0, times[-1]))
-        chip.timeline_to_csv(events, os.path.join(out, "timeline.csv"))
-        written += ["setpoints.csv", "timeline.csv"]
+                                        duration=min(2.0, duration_s))
+        outputs["setpoints.csv"] = partial(chip.setpoints_to_csv, times, temps)
+        outputs["timeline.csv"] = partial(chip.timeline_to_csv, events)
 
     if od_cfg.get("enabled", False):
         kappa = float(od_cfg.get("kappa_khz_per_C",
                                  odmr.DEFAULT_KAPPA_KHZ_PER_C))
         kappa_sigma = float(od_cfg.get("kappa_sigma_khz_per_C", 0.4))
         lam0 = float(od_cfg.get("lam0", odmr.DEFAULT_PHOTON_BUDGET))
-        duration = float(od_cfg.get("duration_s", cfg["simulate"]["duration_s"]))
+        duration = float(od_cfg.get("duration_s", duration_s))
         bin_s = float(od_cfg.get("bin_s", odmr.DEFAULT_BIN_S))
         if schedule is not None:
             base = schedule.steps[0][1]
-            times, temps = chip.setpoint_series(schedule, dt=bin_s, duration=duration)
+            bin_times, bin_temps = chip.setpoint_series(schedule, dt=bin_s,
+                                                        duration=duration)
 
             def shift_of_t(t):
-                return kappa * 1e3 * (np.interp(t, times, temps) - base)
+                return kappa * 1e3 * (np.interp(t, bin_times, bin_temps) - base)
         else:
             shift_of_t = None  # no schedule: zero true shift
         series = odmr.simulate_shift_series(
             odmr.default_lineshape(), lam0, duration, substream(seed, "odmr-photons"),
             delta_f_of_t=shift_of_t, bin_s=bin_s)
-        write_table(os.path.join(out, "shifts.csv"),
-                    [(name, col, "%.6f") for name, col in zip(
-                        _SHIFT_COLUMNS, (series.times, series.delta_f, series.sigma))])
+        outputs["shifts.csv"] = partial(write_table, columns=[
+            (name, col, "%.6f") for name, col in zip(
+                _SHIFT_COLUMNS, (series.times, series.delta_f, series.sigma))])
         cal = odmr.KappaCalibration(kappa_khz_per_C=kappa,
                                     sigma_khz_per_C=kappa_sigma)
-        temps_series = odmr.shift_series_to_temperature(series, cal)
-        temps_series.to_csv(os.path.join(out, "temperature.csv"))
-        written += ["shifts.csv", "temperature.csv"]
+        outputs["temperature.csv"] = odmr.shift_series_to_temperature(series, cal).to_csv
 
-    print("wrote " + ", ".join(written))
+    out = _out_dir(args)
+    for name, write in outputs.items():
+        write(os.path.join(out, name))
+    print("wrote " + ", ".join(outputs))
     return 0
 
 
@@ -317,20 +314,20 @@ def cmd_analyze(args) -> int:
     if not args.traj:
         raise ConfigError("analyze needs at least one --traj file")
     med = cfg.get("medium", {})
-    viscous = {"eta0_pa_s", "mu_pa_s_per_C", "T_ref_C"} <= med.keys()
+    viscous = _VISCOUS_FIELDS.keys() <= med.keys()
     if "radius_fit" in an:
         temps = an["radius_fit"].get("temps_C")
         if (not isinstance(temps, list) or len(temps) != len(args.traj) or len(temps) < 3
                 or not viscous or not all(_is_number(t) for t in temps)):
             raise ConfigError("analysis.radius_fit needs one temps_C number per --traj file "
-                              "(at least 3) and medium eta0_pa_s, mu_pa_s_per_C, T_ref_C")
+                              f"(at least 3) and medium {', '.join(_VISCOUS_FIELDS)}")
     # every input is read before the first output is written
     trajs = [_read_input(Trajectory.from_csv, p) for p in args.traj]
     temperature = _read_temperature(args.temperature) if args.temperature else None
     kappa_inputs = None
     if args.shifts and args.setpoints:
         kappa_inputs = (_read_input(read_table, args.shifts, _SHIFT_COLUMNS)[1],
-                        _read_input(read_table, args.setpoints, ("t_s", "T_C"))[1])
+                        _read_input(read_table, args.setpoints, chip.SETPOINT_COLUMNS)[1])
     out = _out_dir(args)
 
     summary: dict = {"n_trajectories": len(trajs)}
@@ -356,7 +353,7 @@ def cmd_analyze(args) -> int:
         mod = rheology.complex_modulus(curve, t_k, r_nm)
         mod.to_csv(os.path.join(out, "modulus.csv"))
     if "psd" in an or force_on:
-        window = an.get("psd", {}).get("window_s", 28.8)
+        window = an.get("psd", {}).get("window_s", rheology.DEFAULT_PSD_WINDOW_S)
         spec = rheology.psd(traj, axes=axes, window_s=window)
         spec.to_csv(os.path.join(out, "psd.csv"))
         summary["psd_at_40hz_nm2_per_hz"] = spec.value_at(40.0) \
@@ -371,7 +368,7 @@ def cmd_analyze(args) -> int:
         null = segmentation.gamma_null(
             N=scfg.get("window_steps", segmentation.DEFAULT_WINDOW_STEPS),
             M=len(axes),
-            confidence=scfg.get("confidence", 0.95))
+            confidence=scfg.get("confidence", segmentation.DEFAULT_CONFIDENCE))
         labels = segmentation.segment(
             traj, null, axes=axes,
             min_length_nm=scfg.get("min_length_nm",
@@ -500,9 +497,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gamma-null", help="directionality-ratio null")
     _add_common(p)
-    p.add_argument("--n", type=int, default=75, help="steps per window")
-    p.add_argument("--m", type=int, default=2, help="dimensions")
-    p.add_argument("--confidence", type=float, default=0.95)
+    p.add_argument("--n", type=int, default=segmentation.DEFAULT_WINDOW_STEPS,
+                   help="steps per window")
+    p.add_argument("--m", type=int, default=segmentation.DEFAULT_DIMS, help="dimensions")
+    p.add_argument("--confidence", type=float, default=segmentation.DEFAULT_CONFIDENCE)
     p.set_defaults(func=cmd_gamma_null)
     return parser
 

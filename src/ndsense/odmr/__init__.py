@@ -1,89 +1,15 @@
 """ODMR thermometry: lineshapes, scan synthesis, shift fitting, sensitivity
-bounds, Allan analysis, and temperature calibration."""
+bounds, Allan analysis, and temperature calibration.
 
-from .allan import allan_deviation, allan_sensitivity
-from .kappa import (
-    DEFAULT_BIN_S,
-    DEFAULT_KAPPA_KHZ_PER_C,
-    KappaCalibration,
-    PosteriorResult,
-    TemperatureSeries,
-    calibrate_kappa,
-    kappa_shift_posterior,
-    shift_series_to_temperature,
-    shift_to_temperature,
-)
-from .lineshape import (
-    DEFAULT_CENTER_HZ,
-    DEFAULT_CONTRASTS,
-    DEFAULT_HWHM_HZ,
-    DEFAULT_N_POINTS,
-    DEFAULT_SPAN_HZ,
-    DEFAULT_SPLITTING_HZ,
-    Lineshape,
-    default_grid,
-    default_lineshape,
-)
-from .scan import (
-    FitShiftResult,
-    OdmrScan,
-    average_shifts,
-    build_interpolation,
-    fit_shift,
-    fit_shifts,
-    scans_from_csv,
-    scans_to_csv,
-    synthesize_scan,
-)
-from .sensitivity import (
-    DEFAULT_PHOTON_BUDGET,
-    BoundComparison,
-    CrbResult,
-    ShiftSeries,
-    crb,
-    crb_temperature_sensitivity,
-    lineshape_bound_comparison,
-    shift_bound_per_scan,
-    simulate_shift_series,
-)
+The package exports the `__all__` of each submodule.
+"""
 
-__all__ = [
-    "allan_deviation",
-    "allan_sensitivity",
-    "DEFAULT_BIN_S",
-    "DEFAULT_KAPPA_KHZ_PER_C",
-    "KappaCalibration",
-    "PosteriorResult",
-    "TemperatureSeries",
-    "calibrate_kappa",
-    "kappa_shift_posterior",
-    "shift_series_to_temperature",
-    "shift_to_temperature",
-    "DEFAULT_CENTER_HZ",
-    "DEFAULT_CONTRASTS",
-    "DEFAULT_HWHM_HZ",
-    "DEFAULT_N_POINTS",
-    "DEFAULT_SPAN_HZ",
-    "DEFAULT_SPLITTING_HZ",
-    "Lineshape",
-    "default_grid",
-    "default_lineshape",
-    "FitShiftResult",
-    "OdmrScan",
-    "average_shifts",
-    "build_interpolation",
-    "fit_shift",
-    "fit_shifts",
-    "scans_from_csv",
-    "scans_to_csv",
-    "synthesize_scan",
-    "DEFAULT_PHOTON_BUDGET",
-    "BoundComparison",
-    "CrbResult",
-    "ShiftSeries",
-    "crb",
-    "crb_temperature_sensitivity",
-    "lineshape_bound_comparison",
-    "shift_bound_per_scan",
-    "simulate_shift_series",
-]
+from . import allan, kappa, lineshape, scan, sensitivity
+from .allan import *  # noqa: F403
+from .kappa import *  # noqa: F403
+from .lineshape import *  # noqa: F403
+from .scan import *  # noqa: F403
+from .sensitivity import *  # noqa: F403
+
+__all__ = [*allan.__all__, *kappa.__all__, *lineshape.__all__, *scan.__all__,
+           *sensitivity.__all__]

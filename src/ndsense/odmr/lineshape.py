@@ -28,6 +28,9 @@ DEFAULT_HWHM_HZ = 6.0e6
 DEFAULT_CONTRASTS = (0.1506, 0.1205)
 DEFAULT_SPAN_HZ = 80.0e6
 DEFAULT_N_POINTS = 200
+# highest interpolation-table level: tables are normalized to 1 off
+# resonance, and noise may lift a point a little above it
+_TABLE_MAX_LEVEL = 1.05
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,7 +65,7 @@ class Lineshape:
                 raise ValueError("interpolation table needs matching 1-D arrays")
             if (np.diff(f) <= 0).any():
                 raise ValueError("table frequencies must be strictly increasing")
-            if (lv <= 0).any() or (lv > 1.05).any():
+            if (lv <= 0).any() or (lv > _TABLE_MAX_LEVEL).any():
                 raise ValueError("table levels must lie in (0, 1] up to noise")
             object.__setattr__(self, "table_f", f)
             object.__setattr__(self, "table_L", lv)

@@ -9,7 +9,7 @@ import numpy as np
 
 from .._table import read_table, write_table
 from ..seeding import as_generator
-from .lineshape import Lineshape, default_grid
+from .lineshape import _TABLE_MAX_LEVEL, Lineshape, default_grid
 
 __all__ = [
     "OdmrScan",
@@ -22,6 +22,8 @@ __all__ = [
     "scans_to_csv",
     "scans_from_csv",
 ]
+
+_SCAN_COLUMNS = ("scan_id", "f_hz", "counts", "n_scans")
 
 
 @dataclass
@@ -105,7 +107,7 @@ def build_interpolation(scans) -> Lineshape:
         raise ValueError("mean counts must be positive at every point")
     top = np.sort(mean)[-max(mean.size // 10, 1):]
     plateau = float(np.median(top))
-    return Lineshape.from_table(freqs, np.minimum(mean / plateau, 1.05))
+    return Lineshape.from_table(freqs, np.minimum(mean / plateau, _TABLE_MAX_LEVEL))
 
 
 # Options of the shift search, scipy's bounded Brent method
@@ -322,36 +324,45 @@ def average_shifts(fits, n_f: int):
 
 
 def scans_to_csv(scans, path) -> None:
-    """Write scans in long format: `scan_id,f_hz,counts`."""
+    """Write scans in long format: `scan_id,f_hz,counts,n_scans`, one row
+    per frequency point."""
     if isinstance(scans, OdmrScan):
         scans = [scans]
-    write_table(path, [
-        ("scan_id", np.repeat(np.arange(len(scans)), [s.freqs.size for s in scans]), "%d"),
-        ("f_hz", np.concatenate([s.freqs for s in scans]), "%.6f"),
-        ("counts", np.concatenate([s.counts for s in scans]), "%d")])
+    sizes = [s.freqs.size for s in scans]
+    cols = (np.repeat(np.arange(len(scans)), sizes),
+            np.concatenate([s.freqs for s in scans]),
+            np.concatenate([s.counts for s in scans]),
+            np.repeat([s.n_scans for s in scans], sizes))
+    write_table(path, list(zip(_SCAN_COLUMNS, cols, ("%d", "%.6f", "%d", "%d"))))
+
+
+def _data_line(path, row: int) -> int:
+    """Line number of data row `row` (from 0) of a table file."""
+    with open(path) as fh:
+        k = -1  # the header
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if line and line[0] != "#":
+                if k == row:
+                    return lineno
+                k += 1
 
 
 def scans_from_csv(path) -> list:
-    """Read `scan_id,f_hz,counts` long format or blank-line-separated
-    `f_hz,counts` blocks, one scan per block."""
-    with open(path) as fh:
-        if fh.readline().strip() == "f_hz,counts":
-            blocks = [[]]
-            for lineno, line in enumerate(fh, start=2):
-                line = line.strip()
-                if not line:
-                    blocks.append([])
-                    continue
-                try:
-                    f, c = line.split(",")
-                    blocks[-1].append((float(f), int(float(c))))
-                except ValueError:
-                    raise ValueError(f"{path}: line {lineno}: bad ODMR row {line!r}") from None
-            scans = [OdmrScan(freqs=np.array([f for f, _ in b]),
-                              counts=np.array([c for _, c in b])) for b in blocks if b]
-            if not scans:
-                raise ValueError(f"{path}: no data rows")
-            return scans
-    _, (ids, freqs, counts) = read_table(path, ("scan_id", "f_hz", "counts"))
-    return [OdmrScan(freqs=freqs[ids == i], counts=counts[ids == i].astype(int))
-            for i in dict.fromkeys(ids.tolist())]
+    """Read the long format of `scans_to_csv`, one scan per `scan_id`.
+
+    Every row of a scan must carry the same `n_scans`; a row that does not
+    is an error naming the path and line.
+    """
+    _, (ids, freqs, counts, n_scans) = read_table(path, _SCAN_COLUMNS)
+    scans = []
+    for i in dict.fromkeys(ids.tolist()):
+        rows = np.flatnonzero(ids == i)
+        bad = rows[n_scans[rows] != n_scans[rows[0]]]
+        if bad.size:
+            raise ValueError(f"{path}: line {_data_line(path, bad[0])}: n_scans "
+                             f"{n_scans[bad[0]]:g} disagrees with {n_scans[rows[0]]:g} "
+                             f"on the first row of scan {i:g}")
+        scans.append(OdmrScan(freqs=freqs[rows], counts=counts[rows].astype(int),
+                              n_scans=int(n_scans[rows[0]])))
+    return scans

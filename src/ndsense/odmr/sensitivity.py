@@ -221,7 +221,8 @@ def simulate_shift_series(shape: Lineshape, lam0: float, duration_s: float,
     """Synthesize a gated scan stream and fit per-bin frequency shifts.
 
     Each bin accumulates the sweeps of `freqs` the gate completes in `bin_s`.
-    `delta_f_of_t` maps bin start time to the true shift (default 0).
+    `delta_f_of_t` is called once, on the array of bin start times, and
+    returns the array of true shifts in Hz (default: all 0).
     When `fit_shape` is None the interpolation table is built from the
     accumulated data itself, mirroring the self-calibrated pipeline.
     """
@@ -238,7 +239,9 @@ def simulate_shift_series(shape: Lineshape, lam0: float, duration_s: float,
 
     times = bin_s * np.arange(n_bins)
     truth = np.zeros(n_bins) if delta_f_of_t is None else \
-        np.asarray([float(delta_f_of_t(t)) for t in times])
+        np.asarray(delta_f_of_t(times), dtype=float)
+    if truth.shape != times.shape:
+        raise ValueError("delta_f_of_t must return one shift per bin start time")
     # Generator.poisson fills an array in C order, so a block's draw is the
     # stream of one synthesize_scan call per bin
     counts = np.empty((n_bins, freqs.size), dtype=np.int64)

@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 NOISE_FLOOR_NM2 = 100.0  # instrument noise floor, 1e-4 um^2
+DEFAULT_PSD_WINDOW_S = 28.8  # Welch segment length of `psd`
 
 
 @dataclass
@@ -166,11 +167,14 @@ def _default_lags(n: int) -> np.ndarray:
     return lags[lags >= 1]
 
 
-def _power(spec: np.ndarray) -> np.ndarray:
-    """|spec|^2, the spectrum of an autocorrelation."""
+def _autocorr(y: np.ndarray, nfft: int) -> np.ndarray:
+    """Autocorrelation sums of `y` over all offsets, as irfft(|rfft(y)|^2);
+    `nfft` at least len(y) + the largest offset wanted keeps them free of
+    wrap-around."""
+    spec = _fft.rfft(y, nfft)
     power = spec.real ** 2
     power += spec.imag ** 2
-    return power
+    return _fft.irfft(power, nfft)
 
 
 def _prefix_sums(v: np.ndarray, hi: int) -> np.ndarray:
@@ -193,7 +197,7 @@ def _axis_msd(x: np.ndarray, lags: np.ndarray) -> np.ndarray:
     slope = float(t @ y) / float(t @ t)
     y -= slope * t
     nfft = _fft.next_fast_len(n + hi, real=True)
-    s2 = _fft.irfft(_power(_fft.rfft(y, nfft)), nfft)[lags]
+    s2 = _autocorr(y, nfft)[lags]
     sq = y * y
     s1 = 2.0 * sq.sum() - _prefix_sums(sq, hi)[lags] - _prefix_sums(sq[::-1], hi)[lags]
     # sum_t y[t+m] - y[t] is the last m values of y less the first m
@@ -207,23 +211,11 @@ def _var_cov(xi: np.ndarray, lag: int, nfft: int) -> float:
     # of the time-averaged MSD is 2/K sum over offsets of squared
     # autocovariances of the lagged displacements, which vanish beyond the
     # lag for uncorrelated steps. The autocovariances for offsets below
-    # the lag come from one FFT autocorrelation; nfft >= K + lag - 1 keeps
-    # them free of wrap-around.
+    # the lag come from one FFT autocorrelation.
     k = xi.size
     d = min(lag, k)
-    c = _fft.irfft(_power(_fft.rfft(xi, nfft)), nfft)[:d] / (k - np.arange(d))
+    c = _autocorr(xi, nfft)[:d] / (k - np.arange(d))
     return 2.0 / k * c[0] * c[0] + 4.0 / k * float(c[1:] @ c[1:])
-
-
-def _var_printed(xi: np.ndarray, lag: int) -> float:
-    # literal mean-of-squared-products form; biased high versus the
-    # ensemble spread (kept for comparison, see _var_cov)
-    k = xi.size
-    v = 0.0
-    for i in range(1, min(lag, k - 1) + 1):
-        prods = xi[i:] * xi[:-i]
-        v += float(np.mean(prods * prods))
-    return 4.0 / k * v
 
 
 def msd(traj: Trajectory, axes: str = "xy", lags=None, variance: str = "cov",
@@ -251,9 +243,9 @@ def msd(traj: Trajectory, axes: str = "xy", lags=None, variance: str = "cov",
     lags : array of int, optional
         Lags in samples, each below N. Defaults to a log-spaced grid up to
         N/4; lags above N/2 warn (see above).
-    variance : {"cov", "printed", "none"}
-        Per-lag variance estimator. "cov" uses the covariance-structure
-        form, "printed" the literal mean-of-squared-products form.
+    variance : {"cov", "none"}
+        "cov" estimates each lag's variance from the covariance structure
+        of its displacements (see `_var_cov`); "none" leaves it at 0.
     noise_floor_nm2 : float
         Instrument floor: where the statistical error or the MSD itself
         falls below this value, the reported error saturates at it. Pass
@@ -279,8 +271,8 @@ def msd(traj: Trajectory, axes: str = "xy", lags=None, variance: str = "cov",
         warnings.warn(f"lag {lag_arr[-1]} is above half the trajectory length {n}; "
                       "the MSD there rests on few pairs and loses relative accuracy",
                       RuntimeWarning, stacklevel=2)
-    if variance not in ("cov", "printed", "none"):
-        raise ValueError("variance must be 'cov', 'printed' or 'none'")
+    if variance not in ("cov", "none"):
+        raise ValueError("variance must be 'cov' or 'none'")
 
     m_out = np.zeros(lag_arr.size)
     v_out = np.zeros(lag_arr.size)
@@ -292,9 +284,7 @@ def msd(traj: Trajectory, axes: str = "xy", lags=None, variance: str = "cov",
         if variance == "none":
             continue
         for j, lag in enumerate(lag_arr.tolist()):
-            xi = x[lag:] - x[:-lag]
-            v_out[j] += (_var_cov(xi, lag, nfft) if variance == "cov"
-                         else _var_printed(xi, lag))
+            v_out[j] += _var_cov(x[lag:] - x[:-lag], lag, nfft)
     k_out = n - lag_arr
 
     if noise_floor_nm2 > 0:
@@ -439,7 +429,8 @@ def complex_modulus(curve: MsdCurve, T_K: float, r_nm: float) -> ComplexModulus:
                           meta={"T_K": T_K, "r_nm": r_nm})
 
 
-def psd(traj: Trajectory, axes: str = "xy", window_s: float = 28.8) -> PsdCurve:
+def psd(traj: Trajectory, axes: str = "xy",
+        window_s: float = DEFAULT_PSD_WINDOW_S) -> PsdCurve:
     """Welch one-sided PSD, averaged over `window_s` segments, summed over axes."""
     cols = traj.axis(axes)
     n = cols.shape[0]

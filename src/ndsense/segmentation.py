@@ -34,7 +34,11 @@ __all__ = [
 ]
 
 DEFAULT_WINDOW_STEPS = 75
+DEFAULT_DIMS = 2
+DEFAULT_CONFIDENCE = 0.95
 DEFAULT_MIN_LENGTH_NM = 500.0
+_NULL_GRID = 2048         # gamma points the null's pdf is tabulated on
+_MIN_SEGMENT_POINTS = 8   # shortest span class_exponents fits
 _LABEL_COLUMNS = ("start_idx", "end_idx", "gamma", "class", "displacement_nm", "alpha")
 
 
@@ -55,8 +59,8 @@ class GammaNull:
         return np.interp(g, self.gammas, self.pdf, left=0.0, right=0.0)
 
 
-def gamma_null(N: int, M: int = 2, confidence: float = 0.95,
-               n_grid: int = 2048) -> GammaNull:
+def gamma_null(N: int, M: int = DEFAULT_DIMS,
+               confidence: float = DEFAULT_CONFIDENCE) -> GammaNull:
     """Null distribution of gamma over N-step Brownian windows in M dims.
 
     The inverse ratio eta = sqrt(M)/(sigma*gamma) follows a non-central t
@@ -80,7 +84,7 @@ def gamma_null(N: int, M: int = 2, confidence: float = 0.95,
     eta_c = float(dist.ppf(1.0 - confidence))
     crit = float(np.sqrt(M) / (sigma * eta_c))
 
-    gammas = np.linspace(1.0 / n_grid, 1.0, n_grid)
+    gammas = np.linspace(1.0 / _NULL_GRID, 1.0, _NULL_GRID)
     eta = np.sqrt(M) / (sigma * gammas)
     pdf = np.sqrt(M) / (sigma * gammas ** 2) * dist.pdf(eta)
     norm = float(np.trapezoid(pdf, gammas))
@@ -203,11 +207,10 @@ class ClassExponents:
     notices: list = field(default_factory=list)
 
 
-def class_exponents(traj: Trajectory, labels, axes: str = "xy",
-                    min_points: int = 8) -> ClassExponents:
+def class_exponents(traj: Trajectory, labels, axes: str = "xy") -> ClassExponents:
     """Per-class anomalous exponents and ensemble MSDs from labeled spans.
 
-    Each segment of at least `min_points` positions is fitted over lags
+    Each segment of at least 8 positions is fitted over lags
     from 2*dt spanning one decade, capped at a quarter of the segment
     duration; classes without usable segments are omitted with a notice.
     """
@@ -221,7 +224,7 @@ def class_exponents(traj: Trajectory, labels, axes: str = "xy",
         curves = []
         for lab in labs:
             n_seg = lab.end_idx - lab.start_idx + 1
-            if n_seg < min_points:
+            if n_seg < _MIN_SEGMENT_POINTS:
                 continue
             sub = traj.slice(lab.start_idx, lab.end_idx + 1)
             max_lag = max(n_seg // 4, 2)
@@ -242,7 +245,7 @@ def class_exponents(traj: Trajectory, labels, axes: str = "xy",
             alphas.append(fit.alpha)
             curves.append(curve)
         if not alphas:
-            out.notices.append(f"class '{cls}': no segment with >= {min_points} points")
+            out.notices.append(f"class '{cls}': no segment with >= {_MIN_SEGMENT_POINTS} points")
             continue
         alphas = np.asarray(alphas)
         degenerate = alphas.size == 1

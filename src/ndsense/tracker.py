@@ -184,9 +184,13 @@ class TrackDiagnostics:
     times: np.ndarray        # s, end of each orbit
     residual_nm: np.ndarray  # |estimate - truth| per update
     locked: np.ndarray       # bool per update (residual within 3*w_xy)
-    lock_lost: bool          # 5 consecutive unlocked updates occurred
     lock_lost_at: int        # update index where loss was declared, or -1
     n_dark: int              # orbits without a photon; the center held still
+
+    @property
+    def lock_lost(self) -> bool:
+        """Whether 5 consecutive unlocked updates occurred."""
+        return self.lock_lost_at >= 0
 
     def to_csv(self, path) -> None:
         write_table(path, [("t_s", self.times, "%.6f"), ("err_nm", self.residual_nm, "%.6f"),
@@ -309,10 +313,8 @@ def track(truth: Trajectory, cfg: TrackerConfig, brightness: float, seed,
     locked = ~(resid > 3.0 * cfg.w_xy)
     # loss is declared at the fifth update of the first run of 5 unlocked ones
     lost = np.flatnonzero(np.convolve(~locked, np.ones(5, int))[:n_orbits] == 5)
-    lock_lost_at = int(lost[0]) if lost.size else -1
     diag = TrackDiagnostics(times=times, residual_nm=resid, locked=locked,
-                            lock_lost=lock_lost_at >= 0, lock_lost_at=lock_lost_at,
-                            n_dark=n_dark)
+                            lock_lost_at=int(lost[0]) if lost.size else -1, n_dark=n_dark)
     return estimate, diag
 
 

@@ -10,6 +10,7 @@ import pytest
 
 import ndsense
 from ndsense import chip, cli
+from ndsense._table import read_table
 from ndsense.trajectory import Trajectory
 
 
@@ -87,6 +88,26 @@ def test_simulate_odmr_outputs(odmr_run):
     lines = (odmr_run / "shifts.csv").read_text().splitlines()
     assert lines[0] == "t_s,delta_f_hz,sigma_hz"
     assert len(lines) == 1 + int(180.0 / 0.4)
+
+
+def test_simulate_schedule_shorter_than_timeline(tmp_path):
+    # the timeline covers min(2 s, duration), not the last 1 s setpoint
+    cfg = brownian_cfg(duration=0.3, schedule={"kind": "constant", "T_C": 25.0})
+    path = write_config(tmp_path / "cfg.json", cfg)
+    assert cli.main(["simulate", "--config", path, "--out-dir", str(tmp_path)]) == 0
+    _, (t, _, _) = read_table(tmp_path / "timeline.csv", ("t_s", "channel", "state"),
+                              text=("channel",))
+    assert 0.2 <= t.max() <= 0.3
+
+
+def test_simulate_failure_writes_nothing(tmp_path, capsys):
+    # ODMR needs one whole 0.4 s bin; the run fails before any file is written
+    cfg = brownian_cfg(duration=0.3, odmr={"enabled": True})
+    path = write_config(tmp_path / "cfg.json", cfg)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", path, "--out-dir", str(out)]) == 2
+    assert "shorter than one bin" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("schedule, duration, built", [

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -203,6 +205,13 @@ def test_scan_csv_roundtrip(tmp_path):
     for orig, rt in zip(scans, back):
         np.testing.assert_allclose(rt.freqs, orig.freqs, rtol=1e-9)
         np.testing.assert_array_equal(rt.counts, orig.counts)
+        assert rt.n_scans == orig.n_scans == 3
+    # rows of one scan that disagree on n_scans are an error naming the line
+    lines = path.read_text().splitlines()
+    lines[5] = lines[5].removesuffix(",3") + ",4"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: line 6: n_scans"):
+        odmr.scans_from_csv(path)
 
 
 # -------------------------------------------------------------- CRB bounds

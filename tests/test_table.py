@@ -88,6 +88,12 @@ def test_bad_header_names_its_line(path, n_meta, header):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=f"line {n_meta + 1}: unexpected header"):
         read_table(path, ("a", "b", "c"))
+    # ODMR scans written as blank-line-separated f_hz,counts blocks
+    lines[n_meta:] = ["f_hz,counts", "2870000000.0,100", "", "2870000000.0,110"]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: line {n_meta + 1}: "
+                                         "unexpected header"):
+        odmr.scans_from_csv(path)
 
 
 def test_table_without_rows_is_an_error(path):
@@ -104,26 +110,3 @@ def test_labels_keep_unknown_alpha_empty(path):
     back = segmentation.labels_from_csv(path)
     assert back[0].alpha == pytest.approx(1.9) and back[1].alpha is None
     assert [lab.cls for lab in back] == ["directed", "non-directed"]
-
-
-def test_scans_from_blank_line_separated_blocks(path):
-    path.write_text("f_hz,counts\n"
-                    "2870000000.0,100\n2871000000.0,90\n2872000000.0,95\n"
-                    "\n\n"
-                    "2870000000.0,110\n2871000000.0,85\n2872000000.0,99.0\n"
-                    "\n")
-    scans = odmr.scans_from_csv(path)
-    assert len(scans) == 2
-    np.testing.assert_array_equal(scans[0].freqs, [2.870e9, 2.871e9, 2.872e9])
-    np.testing.assert_array_equal(scans[0].counts, [100, 90, 95])
-    np.testing.assert_array_equal(scans[1].counts, [110, 85, 99])
-    assert scans[1].counts.dtype.kind == "i"
-
-
-def test_scans_block_format_errors_name_the_line(path):
-    path.write_text("f_hz,counts\n2870000000.0,100\n\n2870000000.0\n")
-    with pytest.raises(ValueError, match="line 4"):
-        odmr.scans_from_csv(path)
-    path.write_text("f_hz,counts\n\n")
-    with pytest.raises(ValueError, match="no data rows"):
-        odmr.scans_from_csv(path)
