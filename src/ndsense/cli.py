@@ -27,9 +27,6 @@ from .trajectory import Trajectory
 
 SCHEMA_VERSION = 1
 _SHIFT_COLUMNS = ("t_s", "delta_f_hz", "sigma_hz")
-# tracker config keys and the TrackerConfig fields they set
-_TRACKER_FIELDS = {"T_orbit_s": "T_orbit", "R_xy_nm": "R_xy", "w_xy_nm": "w_xy",
-                   "R_z_nm": "R_z", "w_z_nm": "w_z", "G": "G", "gain": "gain"}
 # viscous-medium config keys and the ViscousMediumModel fields they set
 _VISCOUS_FIELDS = {"eta0_pa_s": "eta0", "mu_pa_s_per_C": "mu", "T_ref_C": "T_ref"}
 
@@ -43,19 +40,17 @@ _SCHEMA = {
                       "radius_nm", "alpha", "K_alpha"},
     "config.simulate": {"duration_s", "dt_s", "directed"},
     "config.simulate.directed[]": {"start_step", "n_steps", "velocity_nm_per_s"},
-    "config.tracker": {"enabled", "brightness_cps", *_TRACKER_FIELDS},
-    "config.odmr": {"enabled", "lam0", "kappa_khz_per_C",
-                    "kappa_sigma_khz_per_C", "bin_s", "duration_s"},
+    "config.tracker": {"enabled", "brightness_cps"},
+    "config.odmr": {"enabled", "lam0", "kappa_khz_per_C", "bin_s"},
     "config.schedule": {"kind", "T_C", "start_C", "step_C", "dwell_s",
                         "n_levels", "base_C", "delta_C", "half_period_s",
                         "n_cycles", "tau_s"},
-    "config.analysis": {"axes", "max_lag_s", "diffusion", "modulus", "psd",
-                        "force", "segment", "radius_fit"},
-    "config.analysis.diffusion": {"fit_range_s", "through_origin", "single_tau_s"},
+    "config.analysis": {"max_lag_s", "modulus", "psd", "force", "segment",
+                        "radius_fit"},
     "config.analysis.modulus": {"temperature_C", "radius_nm"},
     "config.analysis.psd": {"window_s"},
     "config.analysis.force": {"enabled"},
-    "config.analysis.segment": {"window_steps", "confidence", "min_length_nm"},
+    "config.analysis.segment": {"window_steps"},
     "config.analysis.radius_fit": {"temps_C"},
 }
 
@@ -203,9 +198,6 @@ def cmd_simulate(args) -> int:
     duration_s = float(cfg["simulate"]["duration_s"])
 
     tr_cfg = cfg.get("tracker", {})
-    # keys left out take the TrackerConfig defaults
-    tcfg = tracker.TrackerConfig(**{field: tr_cfg[key] for key, field
-                                    in _TRACKER_FIELDS.items() if key in tr_cfg})
     od_cfg = cfg.get("odmr", {})
     schedule = _build_schedule(cfg["schedule"]) if "schedule" in cfg else None
 
@@ -215,7 +207,7 @@ def cmd_simulate(args) -> int:
 
     if tr_cfg.get("enabled", False):
         brightness = float(tr_cfg.get("brightness_cps", 2e6))
-        est, diag = tracker.track(truth, tcfg, brightness,
+        est, diag = tracker.track(truth, tracker.TrackerConfig(), brightness,
                                   substream(seed, "tracker-photons"))
         outputs.update({"estimate.csv": est.to_csv, "diagnostics.csv": diag.to_csv})
 
@@ -227,29 +219,25 @@ def cmd_simulate(args) -> int:
         outputs["timeline.csv"] = partial(chip.timeline_to_csv, events)
 
     if od_cfg.get("enabled", False):
-        kappa = float(od_cfg.get("kappa_khz_per_C",
-                                 odmr.DEFAULT_KAPPA_KHZ_PER_C))
-        kappa_sigma = float(od_cfg.get("kappa_sigma_khz_per_C", 0.4))
+        kappa = float(od_cfg.get("kappa_khz_per_C", odmr.DEFAULT_KAPPA_KHZ_PER_C))
         lam0 = float(od_cfg.get("lam0", odmr.DEFAULT_PHOTON_BUDGET))
-        duration = float(od_cfg.get("duration_s", duration_s))
         bin_s = float(od_cfg.get("bin_s", odmr.DEFAULT_BIN_S))
         if schedule is not None:
             base = schedule.steps[0][1]
             bin_times, bin_temps = chip.setpoint_series(schedule, dt=bin_s,
-                                                        duration=duration)
+                                                        duration=duration_s)
 
             def shift_of_t(t):
                 return kappa * 1e3 * (np.interp(t, bin_times, bin_temps) - base)
         else:
             shift_of_t = None  # no schedule: zero true shift
         series = odmr.simulate_shift_series(
-            odmr.default_lineshape(), lam0, duration, substream(seed, "odmr-photons"),
+            odmr.default_lineshape(), lam0, duration_s, substream(seed, "odmr-photons"),
             delta_f_of_t=shift_of_t, bin_s=bin_s)
         outputs["shifts.csv"] = partial(write_table, columns=[
             (name, col, "%.6f") for name, col in zip(
                 _SHIFT_COLUMNS, (series.times, series.delta_f, series.sigma))])
-        cal = odmr.KappaCalibration(kappa_khz_per_C=kappa,
-                                    sigma_khz_per_C=kappa_sigma)
+        cal = odmr.KappaCalibration(kappa, odmr.DEFAULT_KAPPA_SIGMA_KHZ_PER_C)
         outputs["temperature.csv"] = odmr.shift_series_to_temperature(series, cal).to_csv
 
     out = _out_dir(args)
@@ -272,19 +260,14 @@ def _read_input(reader, path, *args):
         raise ConfigError(msg if msg.startswith(path) else f"{path}: {msg}") from exc
 
 
-def _fit_D(traj: Trajectory, an: dict, axes: str):
-    dcfg = an.get("diffusion", {})
-    max_lag_s = an.get("max_lag_s", 50 * traj.dt)
-    max_lag = max(int(max_lag_s / traj.dt), 2)
-    lags = np.arange(1, min(max_lag, traj.points.shape[0] - 1) + 1)
-    curve = rheology.msd(traj, axes=axes, lags=lags)
-    fit_range = dcfg.get("fit_range_s")
-    fit = rheology.fit_diffusion(
-        curve,
-        fit_range=tuple(fit_range) if fit_range else None,
-        through_origin=dcfg.get("through_origin", False),
-        single_tau=dcfg.get("single_tau_s"))
-    return curve, fit
+def _fit_D(traj: Trajectory, an: dict):
+    n = traj.points.shape[0]
+    max_lag = max(int(an.get("max_lag_s", 50 * traj.dt) / traj.dt), 2)
+    # the default 50 lags stop at half the trajectory, above which `msd` warns
+    top = n - 1 if "max_lag_s" in an else max(n // 2, 2)
+    lags = np.arange(1, min(max_lag, top, n - 1) + 1)
+    curve = rheology.msd(traj, lags=lags)
+    return curve, rheology.fit_diffusion(curve, through_origin=False)
 
 
 def _read_temperature(path):
@@ -307,7 +290,6 @@ def _allan(series, out: str):
 def cmd_analyze(args) -> int:
     cfg = load_config(args.config)
     an = cfg.get("analysis", {})
-    axes = an.get("axes", "xy")
     force_on = an.get("force", {}).get("enabled", False)
     if force_on and "modulus" not in an:
         raise ConfigError("analysis.force needs analysis.modulus for the force split")
@@ -335,7 +317,7 @@ def cmd_analyze(args) -> int:
     summary["n_points"] = int(traj.points.shape[0])
     summary["duration_s"] = round(traj.duration, 9)
 
-    curve, dfit = _fit_D(traj, an, axes)
+    curve, dfit = _fit_D(traj, an)
     curve.to_csv(os.path.join(out, "msd.csv"))
     summary["D_nm2_per_s"] = [dfit.D, dfit.sigma]
     if dfit.below_floor:
@@ -354,7 +336,7 @@ def cmd_analyze(args) -> int:
         mod.to_csv(os.path.join(out, "modulus.csv"))
     if "psd" in an or force_on:
         window = an.get("psd", {}).get("window_s", rheology.DEFAULT_PSD_WINDOW_S)
-        spec = rheology.psd(traj, axes=axes, window_s=window)
+        spec = rheology.psd(traj, window_s=window)
         spec.to_csv(os.path.join(out, "psd.csv"))
         summary["psd_at_40hz_nm2_per_hz"] = spec.value_at(40.0) \
             if spec.freqs.max() >= 40.0 else None
@@ -364,16 +346,10 @@ def cmd_analyze(args) -> int:
             summary["force_clipped_points"] = int(force.clipped.sum())
 
     if "segment" in an:
-        scfg = an["segment"]
         null = segmentation.gamma_null(
-            N=scfg.get("window_steps", segmentation.DEFAULT_WINDOW_STEPS),
-            M=len(axes),
-            confidence=scfg.get("confidence", segmentation.DEFAULT_CONFIDENCE))
-        labels = segmentation.segment(
-            traj, null, axes=axes,
-            min_length_nm=scfg.get("min_length_nm",
-                                   segmentation.DEFAULT_MIN_LENGTH_NM))
-        classes = segmentation.class_exponents(traj, labels, axes=axes)
+            N=an["segment"].get("window_steps", segmentation.DEFAULT_WINDOW_STEPS))
+        labels = segmentation.segment(traj, null)
+        classes = segmentation.class_exponents(traj, labels)
         segmentation.labels_to_csv(labels,
                                    os.path.join(out, "labels.csv"))
         summary["segments"] = dict(Counter(lab.cls for lab in labels))
@@ -387,7 +363,7 @@ def cmd_analyze(args) -> int:
         [t.meta.get("temperature_C") for t in trajs]
     if len(trajs) >= 3 and viscous and None not in temps:
         # the first trajectory's fit is the one summarised above
-        fits = [dfit] + [_fit_D(t, an, axes)[1] for t in trajs[1:]]
+        fits = [dfit] + [_fit_D(t, an)[1] for t in trajs[1:]]
         pairs = [(float(temp), fit.D) for temp, fit in zip(temps, fits)]
         sig = [fit.sigma for fit in fits]
         if not all(np.isfinite(s) and s > 0 for s in sig):

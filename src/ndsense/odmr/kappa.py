@@ -14,6 +14,7 @@ from ..seeding import as_generator
 __all__ = [
     "DEFAULT_BIN_S",
     "DEFAULT_KAPPA_KHZ_PER_C",
+    "DEFAULT_KAPPA_SIGMA_KHZ_PER_C",
     "KappaCalibration",
     "TemperatureSeries",
     "PosteriorResult",
@@ -24,6 +25,7 @@ __all__ = [
 ]
 
 DEFAULT_KAPPA_KHZ_PER_C = -60.0
+DEFAULT_KAPPA_SIGMA_KHZ_PER_C = 0.4  # 1-sigma uncertainty of a calibrated kappa
 DEFAULT_BIN_S = 0.4  # s of scans per shift fit and temperature sample
 
 

@@ -351,10 +351,16 @@ def _data_line(path, row: int) -> int:
 def scans_from_csv(path) -> list:
     """Read the long format of `scans_to_csv`, one scan per `scan_id`.
 
-    Every row of a scan must carry the same `n_scans`; a row that does not
-    is an error naming the path and line.
+    `counts` and `n_scans` must be whole numbers, and every row of a scan
+    must carry the same `n_scans`; a row that breaks either is an error
+    naming the path and line.
     """
     _, (ids, freqs, counts, n_scans) = read_table(path, _SCAN_COLUMNS)
+    bad = np.flatnonzero((counts % 1 != 0) | (n_scans % 1 != 0))
+    if bad.size:
+        raise ValueError(f"{path}: line {_data_line(path, bad[0])}: counts "
+                         f"{counts[bad[0]]:g} and n_scans {n_scans[bad[0]]:g} "
+                         "must be whole numbers")
     scans = []
     for i in dict.fromkeys(ids.tolist()):
         rows = np.flatnonzero(ids == i)

@@ -18,7 +18,7 @@ from scipy.special import gamma as _gamma_fn
 
 from ._table import read_table, write_table
 from .constants import BOLTZMANN_J_PER_K, _NM_SCALE, celsius_to_kelvin
-from .media import ViscousMediumModel, viscosity_at
+from .media import ViscousMediumModel, stokes_einstein_D, viscosity_at
 from .trajectory import Trajectory, axes_to_indices
 
 __all__ = [
@@ -510,11 +510,10 @@ def fit_hydrodynamic_radius(pairs, medium: ViscousMediumModel,
         raise ValueError("pairs must be (n, 2): temperature C, D nm^2/s")
     if arr.shape[0] < 3:
         raise ValueError("need at least 3 temperature points")
-    t_c = arr[:, 0]
     d = arr[:, 1]
-    t_k = celsius_to_kelvin(t_c)
-    eta = np.array([viscosity_at(medium, t) for t in t_c])
-    c = BOLTZMANN_J_PER_K * t_k * _NM_SCALE / (6.0 * np.pi * eta)  # = D * r
+    # D * r: the Stokes-Einstein D of a 1 nm sphere
+    c = np.array([stokes_einstein_D(celsius_to_kelvin(t), 1.0, viscosity_at(medium, t))
+                  for t in arr[:, 0]])
     if sigma_D is None:
         w = np.ones_like(d)
     else:

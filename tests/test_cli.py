@@ -11,6 +11,7 @@ import pytest
 import ndsense
 from ndsense import chip, cli
 from ndsense._table import read_table
+from ndsense.rheology import MsdCurve
 from ndsense.trajectory import Trajectory
 
 
@@ -134,6 +135,23 @@ def test_simulate_schedule_kinds(tmp_path, schedule, duration, built):
     assert (out / "setpoints.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
+def test_simulate_viscoelastic_medium(tmp_path, capsys):
+    medium = {"kind": "viscoelastic", "alpha": 0.6, "K_alpha": 2e3}
+    path = write_config(tmp_path / "cfg.json", brownian_cfg(medium=medium))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", path, "--out-dir", str(out)]) == 0
+    traj = Trajectory.from_csv(out / "truth.csv")
+    assert traj.meta["kind"] == "viscoelastic"
+    assert (float(traj.meta["alpha"]), float(traj.meta["K_alpha"])) == (0.6, 2e3)
+    assert traj.points.shape[0] == round(2.0 / 9.6e-3) + 1
+    # both model parameters are required
+    del medium["K_alpha"]
+    path = write_config(tmp_path / "cfg.json", brownian_cfg(medium=medium))
+    assert cli.main(["simulate", "--config", path, "--out-dir", str(tmp_path / "bad")]) == 1
+    assert "missing required key 'K_alpha' in medium" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
+
+
 def test_simulate_seed_flag_overrides_config(tmp_path):
     path = write_config(tmp_path / "cfg.json", brownian_cfg(seed=3))
     a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
@@ -164,16 +182,42 @@ def test_simulate_reruns_byte_identical(tmp_path, odmr_run):
 
 # ----------------------------------------------------------- config failures
 
-def test_unknown_key_rejected_before_writing(tmp_path, capsys):
-    cfg = brownian_cfg(tracker={"enabled": True, "brightnes_cps": 1e6})
+UNKNOWN_KEYS = [
+    ("tracker", "brightnes_cps", 1e6),  # a misspelt key
+    # keys the schema does not have: every run takes the values they would set
+    *[("tracker", key, 1.0) for key in ("T_orbit_s", "R_xy_nm", "w_xy_nm", "R_z_nm",
+                                        "w_z_nm", "G", "gain")],
+    ("odmr", "kappa_sigma_khz_per_C", 0.4),
+    ("odmr", "duration_s", 2.0),
+    ("analysis", "axes", "xy"),
+    ("analysis.diffusion", "fit_range_s", [0.01, 0.1]),
+    ("analysis.diffusion", "through_origin", True),
+    ("analysis.diffusion", "single_tau_s", 0.1),
+    ("analysis.segment", "confidence", 0.95),
+    ("analysis.segment", "min_length_nm", 500.0),
+]
+
+
+@pytest.mark.parametrize("section, key, value", UNKNOWN_KEYS,
+                         ids=[f"{section}.{key}" for section, key, _ in UNKNOWN_KEYS])
+def test_unknown_key_rejected_before_writing(tmp_path, capsys, section, key, value):
+    cfg = brownian_cfg(tracker={"enabled": True}, odmr={"enabled": True},
+                       analysis={"segment": {}})
+    table = cfg
+    for name in section.split("."):
+        table = table.setdefault(name, {})
+    table[key] = value
     path = write_config(tmp_path / "cfg.json", cfg)
     out = tmp_path / "out"
     rc = cli.main(["simulate", "--config", path, "--out-dir", str(out)])
     assert rc == 1
-    assert "config error" in capsys.readouterr().err
+    # analysis has no diffusion section, so the section is the unknown key
+    where, named = ("analysis", "diffusion") if "diffusion" in section else (section, key)
+    assert f"config error: unknown key(s) in config.{where}: {named}" \
+        in capsys.readouterr().err
     # validation failed after the truth run was prepared but before any
     # file went to disk: a bad config must not leave partial outputs
-    assert not (out / "truth.csv").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("mangle", [
@@ -258,6 +302,23 @@ def test_analyze_segmentation_summary(analyzed):
     assert summary["critical_gamma"] == pytest.approx(0.2276, abs=5e-3)
     assert sum(summary["segments"].values()) >= 1
     assert "non-directed" in summary["class_alpha"]
+
+
+def test_analyze_default_lags_stop_at_half_the_trajectory(tmp_path):
+    cfg = brownian_cfg(duration=8.0)
+    cfg["simulate"]["dt_s"] = 0.1  # 81 points: 50 lags would pass N/2
+    path = write_config(tmp_path / "cfg.json", cfg)
+    assert cli.main(["simulate", "--config", path, "--out-dir", str(tmp_path)]) == 0
+    argv = ["analyze", "--traj", str(tmp_path / "truth.csv"), "--out-dir", str(tmp_path)]
+    # a RuntimeWarning is an error in this suite, and analyze would exit 2
+    assert cli.main(argv + ["--config", path]) == 0
+    assert MsdCurve.from_csv(tmp_path / "msd.csv").taus.size == 40
+    # lags asked for explicitly are kept, with msd's warning
+    cfg["analysis"] = {"max_lag_s": 6.0}
+    path = write_config(tmp_path / "cfg.json", cfg)
+    with pytest.warns(RuntimeWarning, match="above half"):
+        assert cli.main(argv + ["--config", path]) == 0
+    assert MsdCurve.from_csv(tmp_path / "msd.csv").taus.size == 60
 
 
 def test_analyze_radius_fit(tmp_path):

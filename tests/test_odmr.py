@@ -212,6 +212,11 @@ def test_scan_csv_roundtrip(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=f"{re.escape(str(path))}: line 6: n_scans"):
         odmr.scans_from_csv(path)
+    # a count or an n_scans that is not a whole number is an error naming the line
+    for row in ("0,2.87e9,99.7,2", "0,2.87e9,99,1.5"):
+        path.write_text(f"scan_id,f_hz,counts,n_scans\n0,2.86e9,99,2\n{row}\n")
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: line 3: counts"):
+            odmr.scans_from_csv(path)
 
 
 # -------------------------------------------------------------- CRB bounds
