@@ -29,6 +29,12 @@ SCHEMA_VERSION = 1
 _SHIFT_COLUMNS = ("t_s", "delta_f_hz", "sigma_hz")
 # viscous-medium config keys and the ViscousMediumModel fields they set
 _VISCOUS_FIELDS = {"eta0_pa_s": "eta0", "mu_pa_s_per_C": "mu", "T_ref_C": "T_ref"}
+# medium keys each kind takes besides "kind"
+_MEDIUM_KEYS = {
+    "brownian": {"D_nm2_per_s"},
+    "viscous": {*_VISCOUS_FIELDS, "temperature_C", "radius_nm"},
+    "viscoelastic": {"alpha", "K_alpha"},
+}
 
 # Allowed keys of each config section, by path; a path ending in "[]" is a
 # list of sections. Parents come first, so they are known to be objects
@@ -36,8 +42,7 @@ _VISCOUS_FIELDS = {"eta0_pa_s": "eta0", "mu_pa_s_per_C": "mu", "T_ref_C": "T_ref
 _SCHEMA = {
     "config": {"schema_version", "seed", "medium", "simulate", "tracker",
                "odmr", "schedule", "analysis"},
-    "config.medium": {"kind", "D_nm2_per_s", *_VISCOUS_FIELDS, "temperature_C",
-                      "radius_nm", "alpha", "K_alpha"},
+    "config.medium": {"kind"}.union(*_MEDIUM_KEYS.values()),
     "config.simulate": {"duration_s", "dt_s", "directed"},
     "config.simulate.directed[]": {"start_step", "n_steps", "velocity_nm_per_s"},
     "config.tracker": {"enabled", "brightness_cps"},
@@ -93,6 +98,9 @@ def load_config(path: str | None) -> dict:
             section = section.get(key, {})
         for item in (section or ()) if where.endswith("[]") else [section]:
             _check_keys(item, allowed, where)
+    kind = cfg.get("medium", {}).get("kind")
+    if isinstance(kind, str) and kind in _MEDIUM_KEYS:
+        _check_keys(cfg["medium"], {"kind", *_MEDIUM_KEYS[kind]}, f"config.medium ({kind})")
     version = _need(cfg, "schema_version", "config")
     if version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version} "

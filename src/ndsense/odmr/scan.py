@@ -231,7 +231,7 @@ def fit_shifts(counts, freqs, shape: Lineshape, max_shift: float | None = None):
     candidate shift and the search reduces to a bounded 1-D minimization
     over delta_f in [-max_shift, max_shift] (default: half the grid span),
     run for all rows at once. Each row's result is bit-identical to a
-    scalar `scipy.optimize.minimize_scalar(method="bounded")` fit with a
+    scalar fit by scipy's `minimize_scalar(method="bounded")` with a
     1 Hz tolerance. Working memory grows with the number of rows.
 
     Parameters

@@ -8,7 +8,6 @@ import re
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from ..chip import DutyCycleSchedule
 from ..seeding import as_generator
@@ -18,12 +17,10 @@ from .scan import OdmrScan, build_interpolation, fit_shifts
 
 __all__ = [
     "CrbResult",
-    "BoundComparison",
     "ShiftSeries",
     "DEFAULT_PHOTON_BUDGET",
     "crb",
     "crb_temperature_sensitivity",
-    "lineshape_bound_comparison",
     "shift_bound_per_scan",
     "simulate_shift_series",
 ]
@@ -142,64 +139,6 @@ def crb_temperature_sensitivity(shape: Lineshape, lam0: float,
     sigma_scan = shift_bound_per_scan(shape, lam0, freqs)
     sigma_1s = sigma_scan / np.sqrt(_scans_per_second(len(freqs)))
     return float(sigma_1s / abs(kappa_khz_per_C * 1e3))
-
-
-@dataclass(frozen=True)
-class BoundComparison:
-    """Shift bounds of three lineshape models describing the same spectrum."""
-
-    interpolation: float
-    double_lorentzian: float
-    single_lorentzian: float
-    double_shape: Lineshape = field(repr=False, default=None)
-    single_shape: Lineshape = field(repr=False, default=None)
-
-
-def _fit_lorentzians(freqs, levels, n_dips: int):
-    f0 = float(freqs.mean())
-    scale = 1e6
-    # parameters in MHz relative to grid center for conditioning
-    x = (freqs - f0) / scale
-    # starting centers, contrasts and hwhms, in MHz from the grid center
-    p0 = {1: (0.0, 0.2, 7.0), 2: (-3.0, 3.0, 0.15, 0.12, 6.0, 6.0)}[n_dips]
-
-    def model(xx, *p):
-        out = 1.0
-        for m, c, g in zip(*np.reshape(p, (3, n_dips))):
-            out = out - c * g * g / ((xx - m) ** 2 + g * g)
-        return out
-    popt, _ = curve_fit(model, x, levels, p0=p0, maxfev=20000)
-    m, c, g = popt.reshape(3, n_dips)
-    order = sorted(range(n_dips), key=lambda k: m[k])
-    return Lineshape(kind="double_lorentzian" if n_dips == 2 else "single_lorentzian",
-                     centers=tuple(f0 + m[k] * scale for k in order),
-                     contrasts=tuple(abs(c[k]) for k in order),
-                     hwhms=tuple(abs(g[k]) * scale for k in order))
-
-
-def lineshape_bound_comparison(table: Lineshape, lam0: float,
-                               kappa_khz_per_C: float,
-                               freqs=None) -> BoundComparison:
-    """Thermometry bounds for interpolation-table, double- and
-    single-Lorentzian descriptions of one measured spectrum.
-
-    The Lorentzian models are least squares fitted to the table levels,
-    then each model's shift-only bound is converted to a sensitivity.
-    """
-    if table.kind != "interpolation":
-        raise ValueError("comparison expects an interpolation-table lineshape")
-    if freqs is None:
-        freqs = table.table_f
-    freqs = np.asarray(freqs, dtype=float)
-    dl = _fit_lorentzians(table.table_f, table.table_L, 2)
-    sl = _fit_lorentzians(table.table_f, table.table_L, 1)
-
-    def sens(shape):
-        return crb_temperature_sensitivity(shape, lam0, kappa_khz_per_C, freqs=freqs)
-    return BoundComparison(interpolation=sens(table),
-                           double_lorentzian=sens(dl),
-                           single_lorentzian=sens(sl),
-                           double_shape=dl, single_shape=sl)
 
 
 @dataclass

@@ -12,8 +12,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import fft as _fft
-from scipy import signal as _signal
 from scipy.special import gamma as _gamma_fn
 
 from ._table import read_table, write_table
@@ -429,6 +429,25 @@ def complex_modulus(curve: MsdCurve, T_K: float, r_nm: float) -> ComplexModulus:
                           meta={"T_K": T_K, "r_nm": r_nm})
 
 
+def _welch(x: np.ndarray, fs: float, nperseg: int):
+    """One-sided Welch density of `x`: periodic Hann window, half overlap,
+    mean removed per segment, mean over segments.
+
+    Follows scipy's `welch(x, fs, nperseg=nperseg, detrend="constant")`
+    operation for operation (window sum, segment count, doubling, the
+    per-frequency mean), so the two agree bit for bit.
+    """
+    # periodic Hann: the symmetric window on nperseg + 1 points, last one dropped
+    win = (0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, nperseg + 1)))[:-1]
+    win = win * (1 / np.sqrt(sum(win ** 2) / (1 / fs)))
+    hop = nperseg - nperseg // 2
+    segs = sliding_window_view(x, nperseg)[::hop][:(x.size - nperseg // 2) // hop]
+    spec = _fft.rfft((segs - segs.mean(axis=1, keepdims=True)) * win, axis=1)
+    power = spec.real ** 2 + spec.imag ** 2
+    power[:, 1:-1 if nperseg % 2 == 0 else None] *= 2
+    return _fft.rfftfreq(nperseg, 1 / fs), np.ascontiguousarray(power.T).mean(axis=1)
+
+
 def psd(traj: Trajectory, axes: str = "xy",
         window_s: float = DEFAULT_PSD_WINDOW_S) -> PsdCurve:
     """Welch one-sided PSD, averaged over `window_s` segments, summed over axes."""
@@ -443,8 +462,7 @@ def psd(traj: Trajectory, axes: str = "xy",
         raise ValueError("trajectory shorter than two overlapping windows")
     total = None
     for a in range(cols.shape[1]):
-        freqs, pxx = _signal.welch(cols[:, a], fs=1.0 / traj.dt,
-                                   nperseg=nperseg, detrend="constant")
+        freqs, pxx = _welch(cols[:, a], 1.0 / traj.dt, nperseg)
         total = pxx if total is None else total + pxx
     return PsdCurve(freqs=freqs, values=total, axes=axes, window_s=window_s,
                     meta={"dt": traj.dt, "nperseg": nperseg})

@@ -10,11 +10,12 @@ anomalous exponents summarized per motion class.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import gamma as _gamma_fn
-from scipy.stats import nct as _nct
+from scipy.special import nctdtrit as _nct_ppf
 
 from . import rheology
 from ._table import read_table, write_table
@@ -44,16 +45,36 @@ _LABEL_COLUMNS = ("start_idx", "end_idx", "gamma", "class", "displacement_nm", "
 
 @dataclass
 class GammaNull:
-    """Analytic null of the directionality ratio for Brownian windows."""
+    """Analytic null of the directionality ratio for Brownian windows.
+
+    The pdf is tabulated on first read; the critical value needs only the
+    non-central t quantile.
+    """
 
     N: int                    # steps per window
     M: int                    # dimensions
     confidence: float
     mu_chi: float             # mean of the chi(M) step length
     sigma_chi: float          # sd of the chi(M) step length
-    gammas: np.ndarray        # tabulation grid on (0, 1]
-    pdf: np.ndarray           # f_gamma on the grid
     critical_gamma: float
+
+    @cached_property
+    def gammas(self) -> np.ndarray:
+        """Tabulation grid on (0, 1]."""
+        return np.linspace(1.0 / _NULL_GRID, 1.0, _NULL_GRID)
+
+    @cached_property
+    def pdf(self) -> np.ndarray:
+        """f_gamma on the grid."""
+        from scipy.stats import nct  # only the pdf needs scipy.stats
+
+        eta = np.sqrt(self.M) / (self.sigma_chi * self.gammas)
+        dist = nct(df=self.M, nc=np.sqrt(self.N) * self.mu_chi / self.sigma_chi)
+        pdf = np.sqrt(self.M) / (self.sigma_chi * self.gammas ** 2) * dist.pdf(eta)
+        norm = float(np.trapezoid(pdf, self.gammas))
+        if not 0.9 < norm < 1.1:
+            raise RuntimeError(f"gamma null failed to normalize: integral {norm:.4f}")
+        return pdf
 
     def pdf_at(self, g):
         return np.interp(g, self.gammas, self.pdf, left=0.0, right=0.0)
@@ -78,21 +99,12 @@ def gamma_null(N: int, M: int = DEFAULT_DIMS,
     mu = np.sqrt(2.0) * _gamma_fn(0.5 * (M + 1)) / _gamma_fn(0.5 * M)
     sigma = np.sqrt(M - mu * mu)
     nc = np.sqrt(N) * mu / sigma
-    dist = _nct(df=M, nc=nc)
 
     # large gamma corresponds to the lower tail of eta
-    eta_c = float(dist.ppf(1.0 - confidence))
+    eta_c = float(_nct_ppf(M, nc, 1.0 - confidence))
     crit = float(np.sqrt(M) / (sigma * eta_c))
-
-    gammas = np.linspace(1.0 / _NULL_GRID, 1.0, _NULL_GRID)
-    eta = np.sqrt(M) / (sigma * gammas)
-    pdf = np.sqrt(M) / (sigma * gammas ** 2) * dist.pdf(eta)
-    norm = float(np.trapezoid(pdf, gammas))
-    if not 0.9 < norm < 1.1:
-        raise RuntimeError(f"gamma null failed to normalize: integral {norm:.4f}")
     return GammaNull(N=N, M=M, confidence=confidence, mu_chi=float(mu),
-                     sigma_chi=float(sigma), gammas=gammas, pdf=pdf,
-                     critical_gamma=crit)
+                     sigma_chi=float(sigma), critical_gamma=crit)
 
 
 def directionality_ratio(window: np.ndarray) -> float:

@@ -253,6 +253,24 @@ def test_schedule_keys_strict_per_kind(tmp_path, capsys, schedule):
     assert not (out / "truth.csv").exists()
 
 
+VISCOUS_RUN = {"kind": "viscous", "eta0_pa_s": 0.301, "mu_pa_s_per_C": 0.0208,
+               "T_ref_C": 35.0, "temperature_C": 35.0, "radius_nm": 28.0}
+
+
+@pytest.mark.parametrize("medium, key", [
+    ({"kind": "brownian", "D_nm2_per_s": 1e4, "alpha": 0.5}, "alpha"),
+    ({"kind": "brownian", "D_nm2_per_s": 1e4, "radius_nm": 28.0}, "radius_nm"),
+    ({**VISCOUS_RUN, "D_nm2_per_s": 1e4}, "D_nm2_per_s"),
+], ids=["brownian-alpha", "brownian-radius", "viscous-D"])
+def test_medium_keys_strict_per_kind(tmp_path, capsys, medium, key):
+    path = write_config(tmp_path / "cfg.json", brownian_cfg(medium=medium))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", path, "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"unknown key(s) in config.medium ({medium['kind']}): {key}" in err
+    assert not out.exists()
+
+
 def test_invalid_json_exit_1(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text("{not json")

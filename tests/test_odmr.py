@@ -300,18 +300,6 @@ def test_sweep_longer_than_gate_is_rejected():
         odmr.simulate_shift_series(SHAPE, 10.0, 8.0, 0, freqs=grid)
 
 
-def test_lineshape_bound_comparison():
-    ref = odmr.synthesize_scan(SHAPE, 10.0, 0.0, substream(11, "tbl"),
-                               n_scans=100000)
-    table = odmr.build_interpolation(ref)
-    cmp = odmr.lineshape_bound_comparison(table, 10.0, -60.0)
-    for val in (cmp.interpolation, cmp.double_lorentzian, cmp.single_lorentzian):
-        assert 1.5 < val < 2.7
-    split = cmp.double_shape.centers[1] - cmp.double_shape.centers[0]
-    assert split == pytest.approx(6e6, rel=0.2)
-    assert cmp.single_shape.kind == "single_lorentzian"
-
-
 # ------------------------------------------------------------ shift series
 
 def test_simulate_shift_series_static():

@@ -2,8 +2,10 @@ from contextlib import nullcontext
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import welch
 from scipy.special import gamma as gamma_fn
 
 from ndsense import media, rheology
@@ -17,6 +19,7 @@ from _oracles import (
     naive_msd,
     naive_printed_variance,
 )
+from test_golden import PINNED_WITH
 
 
 def random_walk(n=300, dt=0.1, seed=0, scale=10.0):
@@ -342,6 +345,29 @@ def test_psd_validation():
     short = random_walk(n=120, dt=0.01)
     with pytest.raises(ValueError):
         rheology.psd(short, window_s=1.0)  # less than two overlapping windows
+
+
+# (points, dt, window_s): nperseg 2880 as in the golden and rheo runs, odd
+# windows, and lengths that leave a partial hop at the end
+WELCH_SHAPES = [(30000, 0.01, 28.8), (30000, 0.01, 28.81), (1001, 0.1, 6.3),
+                (500, 0.1, 0.5), (777, 0.01, 1.0), (6250, 0.0096, 28.8)]
+
+
+@pytest.mark.parametrize("n, dt, window_s", WELCH_SHAPES)
+def test_psd_equals_scipy_welch(n, dt, window_s):
+    traj = random_walk(n=n, dt=dt, seed=n)
+    spec = rheology.psd(traj, axes="xyz", window_s=window_s)
+    nperseg = int(round(window_s / dt))
+    assert n % (nperseg - nperseg // 2) != 0
+    (freqs, px), (_, py), (_, pz) = (
+        welch(traj.points[:, a], fs=1.0 / dt, nperseg=nperseg, detrend="constant")
+        for a in range(3))
+    want = px + py + pz
+    # bit for bit on the versions the golden hashes were taken with
+    pinned = f"numpy {np.__version__} / scipy {scipy.__version__}" == PINNED_WITH
+    rtol = 0.0 if pinned else 1e-12
+    np.testing.assert_allclose(spec.freqs, freqs, rtol=rtol, atol=0.0)
+    np.testing.assert_allclose(spec.values, want, rtol=rtol, atol=0.0)
 
 
 def test_psd_value_at_loglog():

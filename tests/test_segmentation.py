@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gamma as gamma_fn
 from scipy.stats import chi as chi_dist
+from scipy.stats import nct
 
 from ndsense import media, segmentation
 from ndsense.seeding import substream
@@ -45,6 +47,25 @@ def test_null_matches_monte_carlo():
     # distribution bulk: analytic mean vs Monte Carlo mean
     grid_mean = np.trapezoid(NULL.gammas * NULL.pdf, NULL.gammas)
     assert draws.mean() == pytest.approx(grid_mean, rel=0.05)
+
+
+@pytest.mark.parametrize("N", [2, 20, 75, 150])
+@pytest.mark.parametrize("M", [1, 2, 3])
+@pytest.mark.parametrize("confidence", [0.9, 0.95, 0.99])
+def test_null_critical_value_equals_nct_ppf(N, M, confidence):
+    mu = np.sqrt(2.0) * gamma_fn(0.5 * (M + 1)) / gamma_fn(0.5 * M)
+    sigma = np.sqrt(M - mu * mu)
+    eta_c = float(nct(df=M, nc=np.sqrt(N) * mu / sigma).ppf(1.0 - confidence))
+    want = float(np.sqrt(M) / (sigma * eta_c))
+    assert segmentation.gamma_null(N, M, confidence).critical_gamma == want
+
+
+def test_null_pdf_check_raises_on_read():
+    # a 2-step window's pdf puts too little mass on (0, 1] to pass the check;
+    # only reading the pdf runs it
+    null = segmentation.gamma_null(2, 2)
+    with pytest.raises(RuntimeError, match="failed to normalize"):
+        null.pdf
 
 
 def test_null_validation():
