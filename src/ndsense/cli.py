@@ -311,6 +311,14 @@ def cmd_analyze(args) -> int:
                 or not viscous or not all(_is_number(t) for t in temps)):
             raise ConfigError("analysis.radius_fit needs one temps_C number per --traj file "
                               f"(at least 3) and medium {', '.join(_VISCOUS_FIELDS)}")
+    null = None
+    if "segment" in an:
+        steps = an["segment"].get("window_steps", segmentation.DEFAULT_WINDOW_STEPS)
+        null = segmentation.gamma_null(N=steps)
+        if not 0.0 < null.critical_gamma < 1.0:
+            # gamma lies in [0, 1], so such a threshold flags no window or every one
+            raise ConfigError(f"analysis.segment.window_steps {steps} gives critical gamma "
+                              f"{null.critical_gamma:.4g}, outside (0, 1); use more steps")
     # every input is read before the first output is written
     trajs = [_read_input(Trajectory.from_csv, p) for p in args.traj]
     temperature = _read_temperature(args.temperature) if args.temperature else None
@@ -353,9 +361,7 @@ def cmd_analyze(args) -> int:
             force.to_csv(os.path.join(out, "force.csv"))
             summary["force_clipped_points"] = int(force.clipped.sum())
 
-    if "segment" in an:
-        null = segmentation.gamma_null(
-            N=an["segment"].get("window_steps", segmentation.DEFAULT_WINDOW_STEPS))
+    if null is not None:
         labels = segmentation.segment(traj, null)
         classes = segmentation.class_exponents(traj, labels)
         segmentation.labels_to_csv(labels,

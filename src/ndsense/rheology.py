@@ -206,16 +206,64 @@ def _axis_msd(x: np.ndarray, lags: np.ndarray) -> np.ndarray:
     return (s1 - 2.0 * s2 + 2.0 * drift * net + drift * drift * (n - lags)) / (n - lags)
 
 
-def _var_cov(xi: np.ndarray, lag: int, nfft: int) -> float:
+def _var_cov(sums: np.ndarray, k: int) -> float:
     # covariance-structure estimator: for Gaussian increments the variance
     # of the time-averaged MSD is 2/K sum over offsets of squared
     # autocovariances of the lagged displacements, which vanish beyond the
-    # lag for uncorrelated steps. The autocovariances for offsets below
-    # the lag come from one FFT autocorrelation.
-    k = xi.size
-    d = min(lag, k)
-    c = _autocorr(xi, nfft)[:d] / (k - np.arange(d))
+    # lag for uncorrelated steps. `sums` holds the displacements'
+    # autocorrelation sums at offsets below min(lag, K), from either path
+    # of `_axis_var`.
+    c = sums / (k - np.arange(sums.size))
     return 2.0 / k * c[0] * c[0] + 4.0 / k * float(c[1:] @ c[1:])
+
+
+def _axis_var(x: np.ndarray, lags: np.ndarray) -> np.ndarray:
+    # "cov" variance of one axis at each lag, from the autocorrelation sums
+    # S_m[j] = sum_t xi[t] xi[t+j] of the lag-m displacements
+    # xi = x[m:] - x[:-m].
+    #
+    # Up to N/2, where j < m: xi is the steps s = diff(x) summed over a box
+    # of m. Padded with the end values of x, the box sums run on to
+    # E[e] = x[min(e+1, N-1)] - x[max(e-m+1, 0)] for e < N + m - 2, and
+    # xi = E[m-1:N-1]. E's autocorrelation is the triangle-weighted sum
+    # F[j] = sum_{|d|<m} (m - |d|) R(|j + d|) of the steps' autocorrelation
+    # R, one FFT per axis for every lag, and S_m is F less the products over
+    # E's first m - 1 entries (head) and its last m - 1 (tail: the head of
+    # the reversed trajectory). All three are correlations of vectors
+    # shorter than 3m, summed in one short FFT pair per lag: rows 0-1 of z
+    # give F, rows 2-3 the head and rows 4-5 the tail.
+    #
+    # Above N/2 the end products grow as large as F and the difference
+    # loses precision (about 1e-8 relative near lag N - 1), so those lags
+    # correlate xi directly, one length-N FFT pair each.
+    n = x.size
+    out = np.empty(lags.size)
+    n_half = int(np.searchsorted(lags, n // 2, side="right"))
+    if n_half:
+        hi = int(lags[n_half - 1])
+        nfft = _fft.next_fast_len(n + 2 * hi - 3, real=True)
+        r = _autocorr(np.diff(x), nfft)[:2 * hi - 1]
+        r = np.concatenate((r[:0:-1], r))  # R(|o|) for o in [2 - 2 hi, 2 hi - 2]
+    for i, m in enumerate(lags[:n_half].tolist()):
+        nf = _fft.next_fast_len(3 * m - 2, real=True)
+        z = np.zeros((6, nf))
+        z[0, :2 * m - 1] = m - np.abs(np.arange(1 - m, m))
+        z[1, :3 * m - 2] = r[2 * hi - 1 - m:2 * hi + 2 * m - 3]
+        for row, y in ((2, x), (4, x[::-1])):
+            e = z[row + 1, :2 * m - 2]
+            e[:] = y[1:2 * m - 1]
+            e[:m - 1] -= y[0]
+            e[m - 1:] -= y[:m - 1]
+            z[row, :m - 1] = e[:m - 1]
+        f = _fft.rfft(z)
+        p = f[0].conj() * f[1]
+        p -= f[2].conj() * f[3]
+        p -= f[4].conj() * f[5]
+        out[i] = _var_cov(_fft.irfft(p, nf)[:m], n - m)
+    nfft = _fft.next_fast_len(n - 1, real=True)  # K + lag - 1 = n - 1
+    for i, m in enumerate(lags[n_half:].tolist(), start=n_half):
+        out[i] = _var_cov(_autocorr(x[m:] - x[:-m], nfft)[:n - m], n - m)
+    return out
 
 
 def msd(traj: Trajectory, axes: str = "xy", lags=None, variance: str = "cov",
@@ -225,14 +273,17 @@ def msd(traj: Trajectory, axes: str = "xy", lags=None, variance: str = "cov",
     Every lag comes from one zero-padded FFT autocorrelation per axis
     (the all-lags algorithm of nMOLDYN, Kneller et al., Comput. Phys.
     Commun. 91, 191, 1995), so the MSD costs O(N log N) however many lags
-    are asked for; each "cov" variance adds one length-N FFT pair per lag.
-    The FFT trades the exact per-lag mean for round-off of about eps times
-    the energy of the axis about its least-squares line, per pair. On
-    Brownian walks the relative error grows as about eps*N at lags up to
-    N/4 (measured: at most 4e-13 over 3,000 walks of up to 2,000 points),
-    and it is largest where few pairs remain, at lags near N (2e-8 at lag
-    N - 1 of a 2,000-point walk), so a lag above N/2 raises a
-    RuntimeWarning.
+    are asked for. The "cov" variance of a lag up to N/2 adds one FFT pair
+    of under 3 times its length, all of them sharing one autocorrelation of
+    the steps per axis (measured against the per-offset loop: at most
+    1.4e-13 relative over 3,000 walks of up to 2,000 points); a lag above
+    N/2 adds one length-N FFT pair (see `_axis_var`). The MSD's FFT trades
+    the exact per-lag mean for round-off of about eps times the energy of
+    the axis about its least-squares line, per pair. On Brownian walks the
+    relative error grows as about eps*N at lags up to N/4 (measured: at
+    most 4e-13 over 3,000 walks of up to 2,000 points), and it is largest
+    where few pairs remain, at lags near N (2e-8 at lag N - 1 of a
+    2,000-point walk), so a lag above N/2 raises a RuntimeWarning.
 
     Parameters
     ----------
@@ -276,15 +327,11 @@ def msd(traj: Trajectory, axes: str = "xy", lags=None, variance: str = "cov",
 
     m_out = np.zeros(lag_arr.size)
     v_out = np.zeros(lag_arr.size)
-    # one FFT length serves every lag: K + lag - 1 = n - 1
-    nfft = _fft.next_fast_len(n - 1, real=True)
     for a in range(cols.shape[1]):
         x = cols[:, a]
         m_out += _axis_msd(x, lag_arr)
-        if variance == "none":
-            continue
-        for j, lag in enumerate(lag_arr.tolist()):
-            v_out[j] += _var_cov(x[lag:] - x[:-lag], lag, nfft)
+        if variance == "cov":
+            v_out += _axis_var(x, lag_arr)
     k_out = n - lag_arr
 
     if noise_floor_nm2 > 0:

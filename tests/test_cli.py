@@ -453,6 +453,26 @@ def test_analyze_force_without_modulus_exits_1(tmp_path, odmr_run, capsys):
     assert not out.exists()
 
 
+def test_segment_window_that_cannot_flag_exits_1(tmp_path, capsys):
+    # at 2 dims and 95% a 5-step window's critical gamma is 1.017, above
+    # any gamma a window can reach; 6 steps give 0.903
+    sim = tmp_path / "sim"
+    assert cli.main(["simulate", "--config", write_config(tmp_path / "sim.json", brownian_cfg()),
+                     "--out-dir", str(sim)]) == 0
+    for steps, rc in ((5, 1), (6, 0)):
+        cfg = write_config(tmp_path / f"cfg{steps}.json",
+                           brownian_cfg(analysis={"segment": {"window_steps": steps}}))
+        out = tmp_path / f"out{steps}"
+        assert cli.main(["analyze", "--config", cfg, "--traj", str(sim / "truth.csv"),
+                         "--out-dir", str(out)]) == rc
+        err = capsys.readouterr().err
+        if rc:
+            assert "window_steps 5 gives critical gamma 1.017" in err
+            assert not out.exists()
+        else:
+            assert (out / "labels.csv").exists()
+
+
 def test_short_temperature_series_exits_1_before_writing(tmp_path, odmr_run, capsys):
     cfg = write_config(tmp_path / "cfg.json",
                        {"schema_version": 1, "seed": 1, "analysis": {"psd": {}}})

@@ -68,7 +68,7 @@ GOLDEN = {
         "shifts.csv":
             "1c56bfe925e1a10e4385e7d2618dc187d72f7209c9ae36d73e022281fb05a10a",
         "summary.json":
-            "7c4621d7b055bc594c63810724944047d7c9f6c3128a069f52743b59cf62516c",
+            "9e37fa4a53a2987d0c27729e29b294b8c724a3f5af886ef9f289fc474c1dc059",
         "temperature.csv":
             "006a8e38fbb113c4d9dca1270e1e26ff809e749550ba9948f3adca99608b2caa",
         "timeline.csv":
@@ -92,7 +92,7 @@ GOLDEN = {
         "shifts.csv":
             "35f87d51815f530b41a146674050cb4b867bf0e0c515ba4882932d0a3174f14a",
         "summary.json":
-            "18d5b6d68b444f0104f8227c0997fcdf6e329bbcfcc87df2e5b020539c99ed23",
+            "d4022cc8f01f384971c4b83a439a240693f422f3c111c8d5d45d42d5f19e3ca9",
         "temperature.csv":
             "2001f8654dd478b84a6d70d1bd2e5ced333d36c0521e73330082a87286727c41",
         "timeline.csv":

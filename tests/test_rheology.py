@@ -61,16 +61,19 @@ def test_msd_variance_forms_match_naive():
 
 
 @st.composite
-def walks_and_lags(draw):
+def walks_and_lags(draw, to_half=False):
     """A Gaussian random walk of 2..2,000 points, possibly drifting, and a
-    random lag set that always holds the last lag, n - 1."""
+    random lag set that always holds the last lag, n - 1; with `to_half`,
+    lags up to n/2 only, always holding 1 and n // 2."""
     n = draw(st.integers(2, 2000))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = 10.0 ** draw(st.integers(-3, 3))
     drift = draw(st.sampled_from([0.0, 0.2, 5.0]))
     pts = np.cumsum(scale * rng.normal(drift, 1.0, size=(n, 3)), axis=0)
-    lags = draw(st.lists(st.integers(1, n - 1), max_size=8))
-    return Trajectory(dt=0.01, points=pts), sorted({*lags, n - 1})
+    top = n // 2 if to_half else n - 1
+    lags = draw(st.lists(st.integers(1, top), max_size=8))
+    ends = (1, top) if to_half else (top,)
+    return Trajectory(dt=0.01, points=pts), sorted({*lags, *ends})
 
 
 def fft_msd(traj, lags, variance):
@@ -107,6 +110,35 @@ def test_fft_cov_variance_matches_naive(case):
     for lag, got in zip(lags, curve.var):
         assert got == pytest.approx(naive_cov_variance(x[lag:] - x[:-lag], lag),
                                     rel=1e-10)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=walks_and_lags(to_half=True))
+def test_cov_variance_up_to_half_matches_naive(case):
+    # lags up to N/2 take their variance from the steps' autocorrelation;
+    # lag 1 has no end terms, lag N // 2 the largest
+    traj, lags = case
+    x = traj.points[:, 0]
+    curve = rheology.msd(traj, axes="x", lags=lags, variance="cov", noise_floor_nm2=0.0)
+    for lag, got in zip(lags, curve.var):
+        assert got == pytest.approx(naive_cov_variance(x[lag:] - x[:-lag], lag),
+                                    rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [300, 301])
+def test_cov_variance_straddling_half(n):
+    traj = random_walk(n=n, seed=n)
+    x = traj.points[:, 0]
+    lags = [1, 2, 7, n // 2 - 1, n // 2, n // 2 + 1, n // 2 + 2, n - 2, n - 1]
+    with pytest.warns(RuntimeWarning, match=f"lag {n - 1} is above half") as record:
+        curve = rheology.msd(traj, axes="x", lags=lags, variance="cov", noise_floor_nm2=0.0)
+    assert len(record) == 1
+    for lag, got in zip(lags, curve.var):
+        assert got == pytest.approx(naive_cov_variance(x[lag:] - x[:-lag], lag),
+                                    rel=1e-12)
+    # the lags up to N/2 warn nothing and do not depend on the lags above
+    low = rheology.msd(traj, axes="x", lags=lags[:5], variance="cov", noise_floor_nm2=0.0)
+    np.testing.assert_array_equal(low.var, curve.var[:5])
 
 
 def test_msd_printed_form_biased_high():
