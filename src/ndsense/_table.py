@@ -2,14 +2,20 @@
 
 A table is ``#key=value`` metadata lines, a header naming the columns, and
 one row per sample with a fixed printf format per column, so identical
-inputs give byte-identical files.
+inputs give byte-identical files. Metadata and blank lines may only come
+before the header; after it every line but an empty one is a data row.
 """
 
 from __future__ import annotations
 
-from array import array
+import warnings
+from itertools import chain, islice
 
 import numpy as np
+
+# rows per printf call; a block's text stays a few hundred kB however long the table
+_BLOCK_ROWS = 4096
+_PARSE = dict(delimiter=",", comments=None, quotechar=None, ndmin=1)
 
 
 def write_table(path, columns, meta=()) -> None:
@@ -17,55 +23,78 @@ def write_table(path, columns, meta=()) -> None:
     the ``(key, value)`` pairs of ``meta``."""
     names, values, formats = zip(*columns)
     row = ",".join(formats) + "\n"
+    cols = [np.asarray(v) for v in values]
     with open(path, "w", newline="") as fh:
         for key, val in meta:
             if isinstance(val, (float, np.floating)):
                 val = repr(float(val))  # shortest exact form, also for NumPy scalars
             fh.write(f"#{key}={val}\n")
         fh.write(",".join(names) + "\n")
-        fh.writelines(row % r for r in zip(*(np.asarray(v).tolist() for v in values)))
+        for i in range(0, min(map(len, cols)), _BLOCK_ROWS):
+            block = tuple(chain.from_iterable(zip(*(c[i:i + _BLOCK_ROWS].tolist() for c in cols))))
+            fh.write(row * (len(block) // len(cols)) % block)
+
+
+def _head(fh, path, header=None):
+    """Read an open table up to its header (any header if ``header`` is
+    None); return the metadata and the header's line number."""
+    meta: dict = {}
+    for lineno, line in enumerate(iter(fh.readline, ""), start=1):
+        line = line.strip()
+        if line and line[0] == "#":
+            key, sep, val = line[1:].partition("=")
+            if sep:
+                meta[key] = val
+        elif line:
+            if header is not None and line != header:
+                raise ValueError(f"{path}: line {lineno}: unexpected header "
+                                 f"{line!r}, expected {header!r}")
+            return meta, lineno
+    raise ValueError(f"{path}: no data rows")
+
+
+def _rows(path):
+    """Yield ``(line number, text)`` of each data row of a table file, as
+    NumPy's parser counts rows: every line after the header but empty ones."""
+    with open(path) as fh:
+        lineno = _head(fh, path)[1]
+        for lineno, line in enumerate(fh, start=lineno + 1):
+            if line != "\n":
+                yield lineno, line.rstrip("\n")
+
+
+def data_line(path, row: int) -> int:
+    """Line number of data row ``row`` (from 0) of a table file."""
+    return next(islice(_rows(path), row, None))[0]
 
 
 def read_table(path, names, text=()):
     """Return ``(meta, columns)`` of a table with header ``names``: metadata
     as strings, then a float array per column, or a list of strings for the
     names in ``text``. Errors name the path and line."""
-    header = ",".join(names)
-    keep = {i for i, name in enumerate(names) if name in text}
-    meta: dict = {}
-    # all-numeric tables fill one flat buffer: no Python list per row
-    rows = [] if keep else array("d")
+    dtype = [(name, object if name in text else float) for name in names]
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line[0] == "#":
-                key, sep, val = line[1:].partition("=")
-                if sep:
-                    meta[key] = val
-                continue
-            if header is not None:
-                if line != header:
-                    raise ValueError(f"{path}: line {lineno}: unexpected header "
-                                     f"{line!r}, expected {header!r}")
-                header = None
-                continue
-            parts = line.split(",")
-            if len(parts) != len(names):
-                raise ValueError(f"{path}: line {lineno}: expected {len(names)} "
-                                 f"columns, got {len(parts)}")
-            try:
-                if keep:
-                    rows.append([p if i in keep else float(p) for i, p in enumerate(parts)])
-                else:
-                    rows.extend(map(float, parts))
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: non-numeric field") from None
-    if not rows:
+        meta = _head(fh, path, ",".join(names))[0]
+        try:
+            with warnings.catch_warnings():
+                # loadtxt warns on a table without rows, reported below
+                warnings.simplefilter("ignore", UserWarning)
+                table = np.loadtxt(fh, dtype, **_PARSE)
+        except ValueError:
+            # NumPy's message counts rows its own way: find the line here
+            for lineno, line in _rows(path):
+                n = line.count(",") + 1
+                if n != len(names):
+                    why = f"expected {len(names)} columns, got {n}"
+                    break
+                try:
+                    np.loadtxt([line], dtype, **_PARSE)
+                except ValueError:
+                    why = "non-numeric field"
+                    break
+            else:
+                raise
+            raise ValueError(f"{path}: line {lineno}: {why}") from None
+    if not table.size:
         raise ValueError(f"{path}: no data rows")
-    if not keep:
-        return meta, list(np.frombuffer(rows).reshape(-1, len(names)).T)
-    table = np.array(rows, dtype=object).T
-    return meta, [col.tolist() if i in keep else col.astype(float, copy=False)
-                  for i, col in enumerate(table)]
+    return meta, [table[name].tolist() if name in text else table[name] for name in names]

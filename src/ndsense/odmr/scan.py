@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .._table import read_table, write_table
+from .._table import data_line, read_table, write_table
 from ..seeding import as_generator
 from .lineshape import _TABLE_MAX_LEVEL, Lineshape, default_grid
 
@@ -336,18 +336,6 @@ def scans_to_csv(scans, path) -> None:
     write_table(path, list(zip(_SCAN_COLUMNS, cols, ("%d", "%.6f", "%d", "%d"))))
 
 
-def _data_line(path, row: int) -> int:
-    """Line number of data row `row` (from 0) of a table file."""
-    with open(path) as fh:
-        k = -1  # the header
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if line and line[0] != "#":
-                if k == row:
-                    return lineno
-                k += 1
-
-
 def scans_from_csv(path) -> list:
     """Read the long format of `scans_to_csv`, one scan per `scan_id`.
 
@@ -358,7 +346,7 @@ def scans_from_csv(path) -> list:
     _, (ids, freqs, counts, n_scans) = read_table(path, _SCAN_COLUMNS)
     bad = np.flatnonzero((counts % 1 != 0) | (n_scans % 1 != 0))
     if bad.size:
-        raise ValueError(f"{path}: line {_data_line(path, bad[0])}: counts "
+        raise ValueError(f"{path}: line {data_line(path, bad[0])}: counts "
                          f"{counts[bad[0]]:g} and n_scans {n_scans[bad[0]]:g} "
                          "must be whole numbers")
     scans = []
@@ -366,7 +354,7 @@ def scans_from_csv(path) -> list:
         rows = np.flatnonzero(ids == i)
         bad = rows[n_scans[rows] != n_scans[rows[0]]]
         if bad.size:
-            raise ValueError(f"{path}: line {_data_line(path, bad[0])}: n_scans "
+            raise ValueError(f"{path}: line {data_line(path, bad[0])}: n_scans "
                              f"{n_scans[bad[0]]:g} disagrees with {n_scans[rows[0]]:g} "
                              f"on the first row of scan {i:g}")
         scans.append(OdmrScan(freqs=freqs[rows], counts=counts[rows].astype(int),

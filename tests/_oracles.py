@@ -241,3 +241,18 @@ def reference_track(truth, cfg, brightness: float, modulation=None,
             pass
         out[k] = center
     return out
+
+
+# ------------------------------------------------------------------ tables
+
+def reference_write_table(path, columns, meta=()) -> None:
+    """The table writer with one printf per row."""
+    names, values, formats = zip(*columns)
+    row = ",".join(formats) + "\n"
+    with open(path, "w", newline="") as fh:
+        for key, val in meta:
+            if isinstance(val, (float, np.floating)):
+                val = repr(float(val))
+            fh.write(f"#{key}={val}\n")
+        fh.write(",".join(names) + "\n")
+        fh.writelines(row % r for r in zip(*(np.asarray(v).tolist() for v in values)))

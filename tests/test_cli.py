@@ -442,6 +442,24 @@ def test_analyze_bad_input_table_exits_1_before_writing(tmp_path, odmr_run, caps
     assert "unexpected header" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("row, bad, message", [
+    (0, "t_s,x_nm,y_nm", "unexpected header"),
+    (57, "0.5,1.0,2.0", "expected 4 columns, got 3"),
+    (57, "0.5,1.0,x,2.0", "non-numeric field"),
+], ids=["header", "columns", "non-numeric"])
+def test_analyze_names_the_line_of_a_bad_trajectory(tmp_path, odmr_run, capsys, row, bad, message):
+    lines = (odmr_run / "truth.csv").read_text().splitlines()
+    k = lines.index("t_s,x_nm,y_nm,z_nm") + row
+    lines[k] = bad
+    traj = tmp_path / "truth.csv"
+    traj.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "cfg.json", {"schema_version": 1, "seed": 1})
+    assert cli.main(["analyze", "--config", cfg, "--traj", str(traj), "--out-dir", str(out)]) == 1
+    assert f"{traj}: line {k + 1}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_analyze_force_without_modulus_exits_1(tmp_path, odmr_run, capsys):
     cfg = write_config(tmp_path / "cfg.json",
                        {"schema_version": 1, "seed": 1,

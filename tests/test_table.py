@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import reference_write_table
 from ndsense import odmr, segmentation
-from ndsense._table import read_table, write_table
+from ndsense._table import _BLOCK_ROWS as BLOCK
+from ndsense._table import data_line, read_table, write_table
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -96,10 +98,13 @@ def test_bad_header_names_its_line(path, n_meta, header):
         odmr.scans_from_csv(path)
 
 
+@pytest.mark.filterwarnings("error")
 def test_table_without_rows_is_an_error(path):
-    path.write_text("#schema=1\na,b,c\n\n")
-    with pytest.raises(ValueError, match="no data rows"):
-        read_table(path, ("a", "b", "c"))
+    # a header without rows, also followed by empty lines, and no header at all
+    for content in ("#schema=1\na,b,c\n\n", "a,b,c\n", "a,b,c", "#schema=1\n\n", ""):
+        path.write_text(content)
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: no data rows"):
+            read_table(path, ("a", "b", "c"))
 
 
 def test_labels_keep_unknown_alpha_empty(path):
@@ -110,3 +115,82 @@ def test_labels_keep_unknown_alpha_empty(path):
     back = segmentation.labels_from_csv(path)
     assert back[0].alpha == pytest.approx(1.9) and back[1].alpha is None
     assert [lab.cls for lab in back] == ["directed", "non-directed"]
+
+
+FORMATS = {"%d": st.integers(-10**12, 10**12),
+           "%s": WORDS,
+           "%.6f": st.floats(-1e9, 1e9) | st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]),
+           "%.6e": st.floats(width=64)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_rows=st.sampled_from([0, 1, 7, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]),
+       formats=st.lists(st.sampled_from(sorted(FORMATS)), min_size=1, max_size=5),
+       data=st.data())
+def test_write_table_matches_per_row_reference(tmp_path_factory, n_rows, formats, data):
+    """Blocked printf gives the bytes of one printf per row, at any row count
+    around the block size; short drawn columns repeat to ``n_rows``."""
+    columns = []
+    for i, fmt in enumerate(formats):
+        seeds = data.draw(st.lists(FORMATS[fmt], min_size=1, max_size=9), label=f"c{i}")
+        values = [seeds[k % len(seeds)] for k in range(n_rows)]
+        columns.append((f"c{i}", values if fmt == "%s" else np.array(values), fmt))
+    meta = [("dt_s", np.float64(0.0096)), ("dims", "xy")]
+    root = tmp_path_factory.mktemp("write")
+    write_table(root / "new.csv", columns, meta=meta)
+    reference_write_table(root / "ref.csv", columns, meta=meta)
+    assert (root / "new.csv").read_bytes() == (root / "ref.csv").read_bytes()
+
+
+@SETTINGS
+@given(cols=column_lists(st.floats(width=64), min_cols=3, max_cols=3))
+def test_read_table_is_float_of_each_field_bit_for_bit(path, cols):
+    """NumPy's C parse returns, field for field, the double ``float()`` gives."""
+    cols[0][0] = np.inf
+    names = ("f", "e", "r")
+    write_table(path, [(n, np.array(c), fmt) for n, c, fmt in zip(names, cols, ("%.6f", "%.6e", "%r"))])
+    _, back = read_table(path, names)
+    fields = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    for j, got in enumerate(back):
+        want = np.array([float(f[j]) for f in fields])
+        assert np.ascontiguousarray(got).view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+# What the C parse accepts, pinned against Python's float(): the line after
+# the header holds the case, and every rejection names the path and line.
+@pytest.mark.parametrize("line, message", [
+    ("1_0,2,3", "line 3: non-numeric field"),        # float() reads 10
+    ("\uff11,2,3", "line 3: non-numeric field"),     # float() reads a full-width 1
+    ("  ", "line 3: expected 3 columns, got 1"),      # skipped before
+    ("#k=v", "line 3: expected 3 columns, got 1"),    # metadata after the header
+    ("#k,v,w", "line 3: non-numeric field"),
+], ids=["underscore", "full-width-digit", "whitespace-line", "metadata-after-header",
+        "comment-with-commas"])
+def test_rejected_inputs_name_path_and_line(path, line, message):
+    path.write_text(f"#schema=1\na,b,c\n{line}\n1,2,3\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}$"):
+        read_table(path, ("a", "b", "c"))
+
+
+def test_text_tables_parse_numbers_as_numeric_tables_do(path):
+    header = ",".join(segmentation._LABEL_COLUMNS)
+    path.write_text(f"{header}\n0,1_0,0.1,directed,5.0,\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 2: non-numeric field$"):
+        segmentation.labels_from_csv(path)
+
+
+def test_empty_lines_and_leading_metadata_are_skipped(path):
+    """Blank lines and metadata before the header, empty lines after it and
+    blanks around numbers read as they did with one Python parse per row."""
+    path.write_text("\n#a=1\n   \n#b=x=y\n#c\na,b,c\n\n 1 , 2.5,-3\n\n\n4,5,6")
+    meta, (a, b, c) = read_table(path, ("a", "b", "c"))
+    assert meta == {"a": "1", "b": "x=y"}
+    assert a.tolist() == [1.0, 4.0] and b.tolist() == [2.5, 5.0] and c.tolist() == [-3.0, 6.0]
+    # data rows are counted as the parser counts them, empty lines left out
+    assert [data_line(path, k) for k in (0, 1)] == [8, 11]
+    path.write_text("scan_id,f_hz,counts,n_scans\n\n0,2.86e9,99,2\n\n0,2.87e9,99,3\n")
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: line 5: n_scans 3"):
+        odmr.scans_from_csv(path)
+    path.write_text("scan_id,f_hz,counts,n_scans\n\n0,2.86e9,99,2\n\n0,2.87e9,9.5,2\n")
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: line 5: counts 9.5"):
+        odmr.scans_from_csv(path)
