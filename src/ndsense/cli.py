@@ -160,6 +160,7 @@ def _simulate_truth(cfg: dict, seed: int) -> Trajectory:
     if duration <= 0 or dt <= 0:
         raise ConfigError("simulate.duration_s and dt_s must be positive")
     n_steps = int(round(duration / dt))
+    specs = _directed_specs(sim, n_steps)
     rng = substream(seed, "medium")
     kind = _need(med, "kind", "medium")
     meta = {"kind": kind}
@@ -184,13 +185,25 @@ def _simulate_truth(cfg: dict, seed: int) -> Trajectory:
         raise ConfigError(f"unknown medium kind: {kind}")
 
     traj.meta.update(meta)
-
-    specs = [media.DirectedSegmentSpec(
-        start=int(_need(d, "start_step", "directed")),
-        duration=int(_need(d, "n_steps", "directed")),
-        velocity=tuple(_need(d, "velocity_nm_per_s", "directed")))
-        for d in sim.get("directed") or []]
     return media.inject_directed(traj, specs) if specs else traj
+
+
+def _directed_specs(sim: dict, n_steps: int) -> list:
+    """The runs of `simulate.directed`; a bad entry is a config error naming it."""
+    specs = []
+    for i, d in enumerate(sim.get("directed") or []):
+        where = f"simulate.directed[{i}]"
+        try:
+            specs.append(media.DirectedSegmentSpec(
+                start=int(_need(d, "start_step", where)),
+                duration=int(_need(d, "n_steps", where)),
+                velocity=tuple(_need(d, "velocity_nm_per_s", where))))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
+    bad = media.first_bad_segment(specs, n_steps)
+    if bad:
+        raise ConfigError(f"simulate.directed[{bad[0]}]: {bad[1]}")
+    return specs
 
 
 def _viscous_model(med: dict) -> media.ViscousMediumModel:
@@ -303,6 +316,9 @@ def cmd_analyze(args) -> int:
         raise ConfigError("analysis.force needs analysis.modulus for the force split")
     if not args.traj:
         raise ConfigError("analyze needs at least one --traj file")
+    if bool(args.shifts) != bool(args.setpoints):
+        given, missing = ("--shifts", "--setpoints") if args.shifts else ("--setpoints", "--shifts")
+        raise ConfigError(f"kappa calibration needs {missing} with {given}")
     med = cfg.get("medium", {})
     viscous = _VISCOUS_FIELDS.keys() <= med.keys()
     if "radius_fit" in an:

@@ -23,6 +23,7 @@ __all__ = [
     "stokes_einstein_D",
     "simulate_brownian",
     "simulate_viscoelastic",
+    "first_bad_segment",
     "inject_directed",
 ]
 
@@ -185,6 +186,20 @@ def simulate_viscoelastic(model: ViscoelasticModel, n_steps: int, dt: float, see
     return Trajectory(dt=dt, points=points, t0=t0, meta=meta)
 
 
+def first_bad_segment(specs, n_steps: int):
+    """(index, reason) of the first spec outside steps [0, n_steps) or
+    overlapping an earlier one; None when every spec fits."""
+    taken = np.zeros(n_steps, dtype=bool)
+    for i, s in enumerate(specs):
+        if s.start < 0 or s.start + s.duration > n_steps:
+            return i, f"segment [{s.start}, {s.start + s.duration}) outside trajectory"
+        span = taken[s.start:s.start + s.duration]
+        if span.any():
+            return i, "directed segments overlap"
+        span[:] = True
+    return None
+
+
 def inject_directed(traj: Trajectory, specs) -> Trajectory:
     """Add cumulative v*dt drift to the positions inside each segment.
 
@@ -192,15 +207,9 @@ def inject_directed(traj: Trajectory, specs) -> Trajectory:
     segment are left unchanged. Overlapping segments are rejected.
     """
     specs = list(specs)
-    n_steps = len(traj) - 1
-    taken = np.zeros(n_steps, dtype=bool)
-    for s in specs:
-        if s.start < 0 or s.start + s.duration > n_steps:
-            raise ValueError(f"segment [{s.start}, {s.start + s.duration}) outside trajectory")
-        span = taken[s.start:s.start + s.duration]
-        if span.any():
-            raise ValueError("directed segments overlap")
-        span[:] = True
+    bad = first_bad_segment(specs, len(traj) - 1)
+    if bad:
+        raise ValueError(bad[1])
     points = traj.points.copy()
     for s in specs:
         idx = np.arange(s.duration + 1)

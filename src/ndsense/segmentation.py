@@ -27,7 +27,6 @@ __all__ = [
     "ClassStats",
     "ClassExponents",
     "gamma_null",
-    "directionality_ratio",
     "segment",
     "class_exponents",
     "labels_to_csv",
@@ -107,26 +106,11 @@ def gamma_null(N: int, M: int = DEFAULT_DIMS,
                      sigma_chi=float(sigma), critical_gamma=crit)
 
 
-def directionality_ratio(window: np.ndarray) -> float:
-    """gamma = |end - start| / total path length for one position window.
-
-    Returns NaN when the path length is zero (undefined ratio).
-    """
-    w = np.asarray(window, dtype=float)
-    if w.ndim != 2 or w.shape[0] < 2:
-        raise ValueError("window must be (n_positions >= 2, n_dims)")
-    steps = np.diff(w, axis=0)
-    path = float(np.linalg.norm(steps, axis=1).sum())
-    if path == 0.0:
-        return float("nan")
-    return float(np.linalg.norm(w[-1] - w[0]) / path)
-
-
 def _window_gammas(pos: np.ndarray, n_steps: int) -> np.ndarray:
-    """directionality_ratio of every stride-1 window of `n_steps` steps.
+    """Directionality ratio of every stride-1 window of `n_steps` steps.
 
-    Bit for bit the per-window oracle: path lengths are window sums of the
-    step norms, displacements the norms of pos[i + N] - pos[i].
+    gamma_i = |pos[i + n_steps] - pos[i]| divided by the summed length of
+    the n_steps steps between them; a window with no path length scores NaN.
     """
     path = sliding_window_view(np.linalg.norm(np.diff(pos, axis=0), axis=1),
                                n_steps).sum(axis=1)

@@ -19,21 +19,11 @@ from .trajectory import Trajectory
 
 __all__ = [
     "TrackerConfig",
-    "OrbitFrame",
-    "FitResult",
     "TrackDiagnostics",
-    "TrackingLossError",
-    "expected_rate",
-    "fit_orbit",
-    "correction",
     "track",
     "static_benchmark",
     "BenchmarkRow",
 ]
-
-
-class TrackingLossError(RuntimeError):
-    """Raised when a frame carries no usable signal."""
 
 
 @dataclass(frozen=True)
@@ -93,91 +83,6 @@ class TrackerConfig:
 
 
 @dataclass
-class OrbitFrame:
-    """Photon counts of one orbit: per angular bin, per collection plane."""
-
-    counts_top: np.ndarray
-    counts_bottom: np.ndarray
-
-    def __post_init__(self):
-        self.counts_top = np.asarray(self.counts_top)
-        self.counts_bottom = np.asarray(self.counts_bottom)
-        if self.counts_top.shape != self.counts_bottom.shape:
-            raise ValueError("plane count arrays must have equal length")
-        if (self.counts_top < 0).any() or (self.counts_bottom < 0).any():
-            raise ValueError("counts must be non-negative")
-
-
-@dataclass(frozen=True)
-class FitResult:
-    """Closed-form sinusoid fit of one orbit frame."""
-
-    I_prime: float   # mean counts per bin
-    delta: float     # normalized modulation depth, >= 0
-    phi: float       # error azimuth, rad, in (-pi, pi]
-    r_axial: float   # plane-imbalance ratio, in [-1, 1]
-
-
-def expected_rate(emitter_offset, beam, plane: str, cfg: TrackerConfig,
-                  I_topC: float, I_bottomC: float):
-    """Expected count rate (counts/s) for an emitter offset from the orbit center.
-
-    ``emitter_offset`` and ``beam`` are positions relative to the orbit
-    center; the collection plane sits at beam z +- R_z. Accepts arrays for
-    vectorized evaluation.
-    """
-    off = np.asarray(emitter_offset, dtype=float)
-    b = np.asarray(beam, dtype=float)
-    dx = b[..., 0] - off[..., 0]
-    dy = b[..., 1] - off[..., 1]
-    if plane == "top":
-        amp, zc = I_topC, b[..., 2] + cfg.R_z
-    elif plane == "bottom":
-        amp, zc = I_bottomC, b[..., 2] - cfg.R_z
-    else:
-        raise ValueError("plane must be 'top' or 'bottom'")
-    dz = zc - off[..., 2]
-    return amp * np.exp(-2.0 * (dx * dx + dy * dy) / cfg.w_xy ** 2) \
-               * np.exp(-2.0 * dz * dz / cfg.w_z ** 2)
-
-
-def _bin_centers(cfg: TrackerConfig) -> np.ndarray:
-    return 2.0 * np.pi * (np.arange(cfg.n_bins) + 0.5) / cfg.n_bins
-
-
-def fit_orbit(frame: OrbitFrame, cfg: TrackerConfig) -> FitResult:
-    """Fit summed bins to I'*(1 + delta*cos(theta - phi)) in closed form.
-
-    The first discrete Fourier coefficient over uniform bins is the least
-    squares solution of the 3-parameter sinusoid model.
-    """
-    top = np.asarray(frame.counts_top, dtype=float)
-    bottom = np.asarray(frame.counts_bottom, dtype=float)
-    total = top + bottom
-    s = total.sum()
-    if s <= 0:
-        raise TrackingLossError("orbit frame carries no photons")
-    theta = _bin_centers(cfg)
-    a = 2.0 * (total * np.cos(theta)).sum() / cfg.n_bins
-    b = 2.0 * (total * np.sin(theta)).sum() / cfg.n_bins
-    i_prime = s / cfg.n_bins
-    delta = float(np.hypot(a, b) / i_prime)
-    phi = float(np.arctan2(b, a))
-    r_axial = float((bottom.sum() - top.sum()) / s)
-    return FitResult(I_prime=float(i_prime), delta=delta, phi=phi, r_axial=r_axial)
-
-
-def correction(fit: FitResult, cfg: TrackerConfig) -> np.ndarray:
-    """Position correction (nm) moving the orbit center toward the emitter."""
-    rg = fit.r_axial * cfg.G
-    if abs(rg - 1.0) < 1e-12:
-        raise ValueError("singular axial geometry: r*G = 1")
-    dxy = fit.delta * cfg.eps_xy
-    dz = (fit.r_axial - cfg.G) / (rg - 1.0) * cfg.eps_z
-    return np.array([dxy * np.cos(fit.phi), dxy * np.sin(fit.phi), dz])
-
-
-@dataclass
 class TrackDiagnostics:
     """Per-update residuals and lock state of one tracking run."""
 
@@ -209,8 +114,10 @@ def track(truth: Trajectory, cfg: TrackerConfig, brightness: float, seed,
     Each orbit sums the expected per-tick counts of each plane into the
     angular bins and draws one Poisson count per bin and plane. A sum of
     independent Poisson variables is Poisson with the summed mean, so this
-    is exact in distribution for per-tick photon counting. The fit and the
-    correction are those of `fit_orbit` and `correction`, inlined.
+    is exact in distribution for per-tick photon counting. The bins are fitted
+    to I'(1 + delta*cos(theta - phi)) by their first Fourier moments; the
+    center moves gain*delta*eps_xy toward phi and gain*eps_z*(r - G)/(r*G - 1)
+    axially, r = (bottom - top)/total. An orbit without photons holds still.
 
     Parameters
     ----------
@@ -254,8 +161,8 @@ def track(truth: Trajectory, cfg: TrackerConfig, brightness: float, seed,
     plane_z = np.array([[cfg.R_z], [-cfg.R_z]])
     kxy = -2.0 / cfg.w_xy ** 2
     kz = -2.0 / cfg.w_z ** 2
-    # bin sums and first Fourier moments, the sufficient statistics of fit_orbit
-    theta_bins = _bin_centers(cfg)
+    # bin sums and first Fourier moments, the sufficient statistics of the fit
+    theta_bins = 2.0 * np.pi * (np.arange(nb) + 0.5) / nb
     moments = np.column_stack([np.ones(nb), np.cos(theta_bins), np.sin(theta_bins)])
     gain_xy = 2.0 * cfg.gain * cfg.eps_xy
     gain_z = cfg.gain * cfg.eps_z

@@ -198,47 +198,85 @@ def mc_directionality_null(N: int, n_windows: int, rng: np.random.Generator):
     return out
 
 
+def reference_gamma(window: np.ndarray) -> float:
+    """gamma = |end - start| / total path length of one position window.
+
+    NaN when the path length is zero (undefined ratio).
+    """
+    w = np.asarray(window, dtype=float)
+    path = float(np.linalg.norm(np.diff(w, axis=0), axis=1).sum())
+    if path == 0.0:
+        return float("nan")
+    return float(np.linalg.norm(w[-1] - w[0]) / path)
+
+
 # ----------------------------------------------------------------- tracker
+
+def reference_fit_orbit(counts_top, counts_bottom):
+    """Fit one orbit's summed bins to I'*(1 + delta*cos(theta - phi)).
+
+    The first discrete Fourier coefficient over uniform bins is the least
+    squares solution of the 3-parameter sinusoid model. Returns
+    (I', delta, phi, r_axial) with r_axial = (bottom - top)/total, or None
+    for an orbit without photons.
+    """
+    top = np.asarray(counts_top, dtype=float)
+    bottom = np.asarray(counts_bottom, dtype=float)
+    total = top + bottom
+    n_bins = total.size
+    s = total.sum()
+    if s <= 0:
+        return None
+    theta = 2.0 * np.pi * (np.arange(n_bins) + 0.5) / n_bins
+    a = 2.0 * (total * np.cos(theta)).sum() / n_bins
+    b = 2.0 * (total * np.sin(theta)).sum() / n_bins
+    i_prime = s / n_bins
+    return (float(i_prime), float(np.hypot(a, b) / i_prime), float(np.arctan2(b, a)),
+            float((bottom.sum() - top.sum()) / s))
+
 
 def reference_track(truth, cfg, brightness: float, modulation=None,
                     initial_offset=(0.0, 0.0, 0.0)) -> np.ndarray:
     """Noise-free closed tracking loop, one orbit at a time.
 
-    Expected counts of every clock tick of an orbit come from
-    `tracker.expected_rate`, times the tick's `modulation`, and are added
-    into their angular bin of an `OrbitFrame`; `fit_orbit` and `correction`
-    then move the center. A frame without photons holds the center.
+    Every clock tick of an orbit adds its expected counts, Gaussian in the
+    beam-to-emitter distance with the collection plane at beam z +- R_z and
+    times the tick's `modulation`, into its angular bin. The orbit is then
+    fitted by `reference_fit_orbit`, and the center moves by gain times
+    (delta*eps_xy*cos(phi), delta*eps_xy*sin(phi), eps_z*(r - G)/(r*G - 1)).
+    An orbit without photons holds the center.
     Returns the (n_orbits, 3) orbit centers after each update.
     """
     from ndsense.chip import CLOCK_S
-    from ndsense.tracker import (OrbitFrame, TrackingLossError, correction,
-                                 expected_rate, fit_orbit)
 
     S = cfg.samples_per_orbit
     tick = np.arange(S)
     bin_of_tick = tick * cfg.n_bins // S
     theta = 2.0 * np.pi * (tick + 0.5) / S
-    beam = np.column_stack([cfg.R_xy * np.cos(theta), cfg.R_xy * np.sin(theta),
-                            np.zeros(S)])
+    beam = np.column_stack([cfg.R_xy * np.cos(theta), cfg.R_xy * np.sin(theta)])
     peak = brightness / cfg.lock_attenuation  # counts/s at the PSF peak
-    i_top, i_bottom = peak * (1.0 - cfg.G), peak * (1.0 + cfg.G)
+    planes = [(peak * (1.0 - cfg.G), cfg.R_z), (peak * (1.0 + cfg.G), -cfg.R_z)]
+    eps_xy = cfg.w_xy ** 2 / (4.0 * cfg.R_xy)
+    eps_z = cfg.w_z ** 2 / (4.0 * cfg.R_z)
     center = truth.points[0] + np.asarray(initial_offset, dtype=float)
     n_orbits = int(truth.duration / cfg.T_orbit)
     out = np.empty((n_orbits, 3))
     for k in range(n_orbits):
         t = truth.t0 + k * cfg.T_orbit + (tick + 0.5) * CLOCK_S
         emitter = np.column_stack([np.interp(t, truth.times, truth.points[:, a])
-                                   for a in range(3)])
+                                   for a in range(3)]) - center
         scale = CLOCK_S * (np.ones(S) if modulation is None else modulation(t))
-        counts = [np.bincount(bin_of_tick, minlength=cfg.n_bins, weights=scale
-                              * expected_rate(emitter - center, beam, plane, cfg,
-                                              i_top, i_bottom))
-                  for plane in ("top", "bottom")]
-        try:
-            center = center + cfg.gain * correction(
-                fit_orbit(OrbitFrame(*counts), cfg), cfg)
-        except TrackingLossError:
-            pass
+        r2_xy = ((beam - emitter[:, :2]) ** 2).sum(axis=1)
+        counts = [np.bincount(bin_of_tick, minlength=cfg.n_bins, weights=scale * amp
+                              * np.exp(-2.0 * r2_xy / cfg.w_xy ** 2)
+                              * np.exp(-2.0 * (z - emitter[:, 2]) ** 2 / cfg.w_z ** 2))
+                  for amp, z in planes]
+        fit = reference_fit_orbit(*counts)
+        if fit is not None:
+            _, delta, phi, r = fit
+            center = center + cfg.gain * np.array([
+                delta * eps_xy * np.cos(phi), delta * eps_xy * np.sin(phi),
+                (r - cfg.G) / (r * cfg.G - 1.0) * eps_z])
         out[k] = center
     return out
 

@@ -111,6 +111,31 @@ def test_simulate_failure_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("directed, message", [
+    ([{"start_step": 200, "n_steps": 20, "velocity_nm_per_s": [900.0, 0.0]}],
+     "simulate.directed[0]: segment [200, 220) outside trajectory"),
+    ([{"start_step": 10, "n_steps": 50, "velocity_nm_per_s": [900.0, 0.0]},
+      {"start_step": 40, "n_steps": 20, "velocity_nm_per_s": [0.0, 900.0]}],
+     "simulate.directed[1]: directed segments overlap"),
+    ([{"start_step": 10, "n_steps": 0, "velocity_nm_per_s": [900.0, 0.0]}],
+     "simulate.directed[0]: duration must be >= 1 step"),
+    ([{"start_step": 10, "n_steps": 5, "velocity_nm_per_s": [900.0]}],
+     "simulate.directed[0]: velocity must be a finite 2- or 3-vector"),
+    ([{"start_step": 10, "n_steps": 5, "velocity_nm_per_s": [float("inf"), 0.0]}],
+     "simulate.directed[0]: velocity must be a finite 2- or 3-vector"),
+    ([{"start_step": 10, "n_steps": 5, "velocity_nm_per_s": 900.0}],
+     "simulate.directed[0]: "),
+], ids=["outside", "overlap", "no-steps", "1-vector", "infinite", "scalar"])
+def test_bad_directed_run_exits_1_before_writing(tmp_path, capsys, directed, message):
+    cfg = brownian_cfg()  # 208 steps
+    cfg["simulate"]["directed"] = directed
+    path = write_config(tmp_path / "cfg.json", cfg)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", path, "--out-dir", str(out)]) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("schedule, duration, built", [
     ({"kind": "constant", "T_C": 25.0}, 60.0,
      lambda: chip.TemperatureSchedule(steps=((0.0, 25.0),))),
@@ -421,6 +446,20 @@ def test_analyze_kappa_calibration(tmp_path, odmr_run):
     # still have to come out right
     assert -90.0 < kappa < -25.0
     assert 0.0 < sigma < 10.0
+
+
+@pytest.mark.parametrize("given, missing", [("--shifts", "--setpoints"),
+                                           ("--setpoints", "--shifts")],
+                         ids=["shifts-only", "setpoints-only"])
+def test_unpaired_kappa_input_exits_1_before_writing(tmp_path, odmr_run, capsys,
+                                                       given, missing):
+    cfg = write_config(tmp_path / "cfg.json", {"schema_version": 1, "seed": 1})
+    out = tmp_path / "out"
+    table = odmr_run / f"{given[2:]}.csv"
+    assert cli.main(["analyze", "--config", cfg, "--traj", str(odmr_run / "truth.csv"),
+                     given, str(table), "--out-dir", str(out)]) == 1
+    assert f"needs {missing}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_analyze_bad_input_table_exits_1_before_writing(tmp_path, odmr_run, capsys):

@@ -35,3 +35,11 @@ def test_cli_starts_without_deferred_scipy_modules():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(SRC.parent)), check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_package_and_simulation_layers_import_without_scipy():
+    code = ("import sys, ndsense, ndsense.tracker, ndsense.media, ndsense.chip, ndsense.trajectory; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC.parent)), check=True)
+    assert done.stdout.strip() == "[]"

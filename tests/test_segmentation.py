@@ -10,7 +10,7 @@ from ndsense import media, segmentation
 from ndsense.seeding import substream
 from ndsense.trajectory import Trajectory
 
-from _oracles import mc_directionality_null
+from _oracles import mc_directionality_null, reference_gamma
 
 
 NULL = segmentation.gamma_null(75, 2, 0.95)
@@ -77,30 +77,18 @@ def test_null_validation():
         segmentation.gamma_null(75, 2, confidence=1.0)
 
 
-def test_directionality_ratio():
-    line = np.column_stack([np.arange(10.0), np.zeros(10)])
-    assert segmentation.directionality_ratio(line) == pytest.approx(1.0)
-    frozen = np.zeros((5, 2))
-    assert np.isnan(segmentation.directionality_ratio(frozen))
-    rng = np.random.default_rng(3)
-    walk = np.cumsum(rng.standard_normal((76, 2)), axis=0)
-    g = segmentation.directionality_ratio(walk)
-    assert 0.0 < g < 1.0
-    with pytest.raises(ValueError):
-        segmentation.directionality_ratio(np.zeros((1, 2)))
-
-
 def test_window_gammas_match_directionality_ratio_bit_for_bit():
     # a walk with a directed run and a frozen stretch of 100 positions:
     # the 25 windows inside it have no path length and score NaN
     pos = brownian_with_run(seed=29, n=1500, start=600, duration=200).axis("xy")
     pos[1000:1100] = pos[1000]
     n_w = NULL.N
-    want = np.array([segmentation.directionality_ratio(pos[i:i + n_w + 1])
-                     for i in range(len(pos) - n_w)])
+    want = np.array([reference_gamma(pos[i:i + n_w + 1]) for i in range(len(pos) - n_w)])
     got = segmentation._window_gammas(pos, n_w)
     assert np.isnan(want).sum() == 25
     assert np.array_equal(got, want, equal_nan=True)
+    line = np.column_stack([np.arange(10.0), np.zeros(10)])
+    assert segmentation._window_gammas(line, 9).tolist() == [1.0]
 
 
 def brownian_with_run(seed=11, n=3000, D=1e4, dt=9.6e-3,
@@ -185,7 +173,7 @@ def test_segment_labels_tile_and_directed_spans_pass_both_gates(case):
         if lab.cls != "directed":
             continue
         assert lab.displacement_nm >= min_length
-        windows = [segmentation.directionality_ratio(pos[i:i + null.N + 1])
+        windows = [reference_gamma(pos[i:i + null.N + 1])
                    for i in range(lab.start_idx, lab.end_idx - null.N + 1)]
         assert max(g for g in windows if np.isfinite(g)) > null.critical_gamma
 

@@ -5,7 +5,7 @@ from ndsense import media, tracker
 from ndsense.seeding import substream
 from ndsense.trajectory import Trajectory
 
-from _oracles import reference_track
+from _oracles import reference_fit_orbit, reference_track
 
 
 CFG = tracker.TrackerConfig()
@@ -37,49 +37,19 @@ def test_config_validation():
         tracker.TrackerConfig(n_bins=7)  # 960 ticks don't split into 7 bins
 
 
-def test_expected_rate_peaks_at_emitter():
-    # detected rate is maximal when the beam sits on the emitter and the
-    # collection plane offset is compensated
-    off = np.array([10.0, -5.0, 0.0])
-    at_emitter = tracker.expected_rate(off, off + [0, 0, -200.0], "top", CFG,
-                                       1e6, 1e6)
-    away = tracker.expected_rate(off, off + [150.0, 0, -200.0], "top", CFG,
-                                 1e6, 1e6)
-    assert at_emitter > away
-    assert at_emitter == pytest.approx(1e6)
-
-
-def test_fit_orbit_recovers_pure_harmonic():
+def test_reference_fit_orbit_recovers_harmonic_and_axial_ratio():
+    # the oracle behind test_noise_free_track_matches_reference_loop
     i0, delta, phi = 500.0, 0.12, 0.8
     theta = 2 * np.pi * (np.arange(8) + 0.5) / 8
     counts = i0 * (1 + delta * np.cos(theta - phi))
-    frame = tracker.OrbitFrame(counts_top=counts / 2, counts_bottom=counts / 2)
-    fit = tracker.fit_orbit(frame, CFG)
-    assert fit.I_prime == pytest.approx(i0, rel=1e-12)
-    assert fit.delta == pytest.approx(delta, rel=1e-12)
-    assert fit.phi == pytest.approx(phi, rel=1e-12)
-    assert fit.r_axial == pytest.approx(0.0, abs=1e-12)
-
-
-def test_fit_orbit_axial_ratio_sign():
-    ones = np.full(8, 100.0)
-    frame = tracker.OrbitFrame(counts_top=ones, counts_bottom=3 * ones)
-    fit = tracker.fit_orbit(frame, CFG)
-    assert fit.r_axial == pytest.approx(0.5)
-
-
-def test_fit_orbit_rejects_dark_frame():
-    zeros = np.zeros(8)
-    with pytest.raises(tracker.TrackingLossError):
-        tracker.fit_orbit(tracker.OrbitFrame(zeros, zeros), CFG)
+    fit = reference_fit_orbit(counts / 4, 3 * counts / 4)
+    np.testing.assert_allclose(fit, (i0, delta, phi, 0.5), rtol=1e-12)
+    assert reference_fit_orbit(np.zeros(8), np.zeros(8)) is None
 
 
 def test_correction_singularity():
-    fit = tracker.FitResult(I_prime=1.0, delta=0.0, phi=0.0, r_axial=1.0)
-    cfg = tracker.TrackerConfig(G=1.0)
-    with pytest.raises(ValueError, match="singular"):
-        tracker.correction(fit, cfg)
     # G = 1 leaves the top plane dark, so every lit orbit has r = 1
+    cfg = tracker.TrackerConfig(G=1.0)
     with pytest.raises(ValueError, match="singular"):
         tracker.track(static_truth(duration=0.1), cfg, 1e6, seed=0)
 
