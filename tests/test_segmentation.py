@@ -77,6 +77,23 @@ def test_null_validation():
         segmentation.gamma_null(75, 2, confidence=1.0)
 
 
+def test_directionality_ratio():
+    # one window spanning the whole path, from the package and the oracle
+    line = np.column_stack([np.arange(10.0), np.zeros(10)])
+    assert segmentation._window_gammas(line, 9).tolist() == [1.0]
+    assert reference_gamma(line) == pytest.approx(1.0)
+    frozen = np.zeros((5, 2))
+    assert np.isnan(segmentation._window_gammas(frozen, 4)).all()
+    assert np.isnan(reference_gamma(frozen))
+    rng = np.random.default_rng(3)
+    walk = np.cumsum(rng.standard_normal((76, 2)), axis=0)
+    g = segmentation._window_gammas(walk, 75)
+    assert g.shape == (1,)
+    assert 0.0 < g[0] < 1.0
+    with pytest.raises(ValueError):
+        segmentation._window_gammas(np.zeros((1, 2)), 1)
+
+
 def test_window_gammas_match_directionality_ratio_bit_for_bit():
     # a walk with a directed run and a frozen stretch of 100 positions:
     # the 25 windows inside it have no path length and score NaN
@@ -87,8 +104,6 @@ def test_window_gammas_match_directionality_ratio_bit_for_bit():
     got = segmentation._window_gammas(pos, n_w)
     assert np.isnan(want).sum() == 25
     assert np.array_equal(got, want, equal_nan=True)
-    line = np.column_stack([np.arange(10.0), np.zeros(10)])
-    assert segmentation._window_gammas(line, 9).tolist() == [1.0]
 
 
 def brownian_with_run(seed=11, n=3000, D=1e4, dt=9.6e-3,

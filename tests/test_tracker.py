@@ -37,14 +37,25 @@ def test_config_validation():
         tracker.TrackerConfig(n_bins=7)  # 960 ticks don't split into 7 bins
 
 
-def test_reference_fit_orbit_recovers_harmonic_and_axial_ratio():
-    # the oracle behind test_noise_free_track_matches_reference_loop
+def test_fit_orbit_recovers_pure_harmonic():
+    # the orbit fit inside the oracle behind
+    # test_noise_free_track_matches_reference_loop
     i0, delta, phi = 500.0, 0.12, 0.8
     theta = 2 * np.pi * (np.arange(8) + 0.5) / 8
     counts = i0 * (1 + delta * np.cos(theta - phi))
-    fit = reference_fit_orbit(counts / 4, 3 * counts / 4)
-    np.testing.assert_allclose(fit, (i0, delta, phi, 0.5), rtol=1e-12)
-    assert reference_fit_orbit(np.zeros(8), np.zeros(8)) is None
+    fit = reference_fit_orbit(counts / 2, counts / 2)
+    np.testing.assert_allclose(fit[:3], (i0, delta, phi), rtol=1e-12)
+    assert fit[3] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_fit_orbit_axial_ratio_sign():
+    ones = np.full(8, 100.0)
+    assert reference_fit_orbit(ones, 3 * ones)[3] == pytest.approx(0.5)
+
+
+def test_fit_orbit_rejects_dark_frame():
+    zeros = np.zeros(8)
+    assert reference_fit_orbit(zeros, zeros) is None
 
 
 def test_correction_singularity():
