@@ -9,7 +9,7 @@ before the header; after it every line but an empty one is a data row.
 from __future__ import annotations
 
 import warnings
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
@@ -61,11 +61,6 @@ def _rows(path):
         for lineno, line in enumerate(fh, start=lineno + 1):
             if line != "\n":
                 yield lineno, line.rstrip("\n")
-
-
-def data_line(path, row: int) -> int:
-    """Line number of data row ``row`` (from 0) of a table file."""
-    return next(islice(_rows(path), row, None))[0]
 
 
 def read_table(path, names, text=()):

@@ -82,6 +82,13 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _whole_number(value, key: str) -> int:
+    """``value`` as an int: a non-negative whole number, not a bool or a string."""
+    if not _is_number(value) or value < 0 or value % 1:
+        raise ConfigError(f"{key} must be a non-negative whole number, not {json.dumps(value)}")
+    return int(value)
+
+
 def load_config(path: str | None) -> dict:
     if path is None:
         return {"schema_version": SCHEMA_VERSION}
@@ -110,9 +117,9 @@ def load_config(path: str | None) -> dict:
 
 def _master_seed(cfg: dict, args) -> int:
     if args.seed is not None:
-        return int(args.seed)
+        return _whole_number(args.seed, "--seed")
     if "seed" in cfg:
-        return int(cfg["seed"])
+        return _whole_number(cfg["seed"], "seed")
     raise ConfigError("no seed: provide --seed or a 'seed' config key")
 
 
@@ -195,8 +202,8 @@ def _directed_specs(sim: dict, n_steps: int) -> list:
         where = f"simulate.directed[{i}]"
         try:
             specs.append(media.DirectedSegmentSpec(
-                start=int(_need(d, "start_step", where)),
-                duration=int(_need(d, "n_steps", where)),
+                start=_whole_number(_need(d, "start_step", where), f"{where}.start_step"),
+                duration=_whole_number(_need(d, "n_steps", where), f"{where}.n_steps"),
                 velocity=tuple(_need(d, "velocity_nm_per_s", where))))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{where}: {exc}") from exc

@@ -1,7 +1,10 @@
 """ODMR thermometry: lineshapes, scan synthesis, shift fitting, sensitivity
 bounds, Allan analysis, and temperature calibration.
 
-The package exports the `__all__` of each submodule.
+The package exports the `__all__` of each submodule. These second names
+stay: the CLI looks them up as `odmr.<name>` at call time, and the
+benchmark's tracer wraps them in this package's namespace, so a wrapped
+function is the one the CLI calls.
 """
 
 from . import allan, kappa, lineshape, scan, sensitivity

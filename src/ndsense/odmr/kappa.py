@@ -1,5 +1,5 @@
-"""Thermometry calibration: frequency-shift-to-temperature conversion,
-staircase slope fits, and the hierarchical between-group shift posterior.
+"""Thermometry calibration: frequency-shift-to-temperature conversion and
+staircase slope fits.
 """
 
 from __future__ import annotations
@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .._table import read_table, write_table
-from ..seeding import as_generator
 
 __all__ = [
     "DEFAULT_BIN_S",
@@ -17,11 +16,9 @@ __all__ = [
     "DEFAULT_KAPPA_SIGMA_KHZ_PER_C",
     "KappaCalibration",
     "TemperatureSeries",
-    "PosteriorResult",
     "shift_to_temperature",
     "calibrate_kappa",
     "shift_series_to_temperature",
-    "kappa_shift_posterior",
 ]
 
 DEFAULT_KAPPA_KHZ_PER_C = -60.0
@@ -132,64 +129,3 @@ def calibrate_kappa(temps_C, delta_f_hz, sigma_hz=None) -> KappaCalibration:
     return KappaCalibration(kappa_khz_per_C=slope / 1e3,
                             sigma_khz_per_C=sigma_slope / 1e3,
                             f0_hz=float(ym), T_ref_C=float(tm))
-
-
-@dataclass(frozen=True)
-class PosteriorResult:
-    mean: float
-    sd: float
-    samples: np.ndarray = field(repr=False)
-
-    def credible_interval(self, level: float = 0.95):
-        lo = 0.5 * (1.0 - level)
-        return tuple(np.quantile(self.samples, [lo, 1.0 - lo]))
-
-
-def _group_gibbs(obs, rng, n_draws: int, burn: int) -> np.ndarray:
-    """Posterior draws of a group's population mean under a
-    hierarchical-normal model with flat priors on the mean and scale."""
-    arr = np.asarray(obs, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 2:
-        raise ValueError("each group needs >= 2 (value, sigma) rows")
-    k_obs = arr[:, 0]
-    s_obs = arr[:, 1]
-    if (s_obs < 0).any():
-        raise ValueError("measurement sigmas must be non-negative")
-    if np.ptp(k_obs) == 0:
-        raise ValueError("degenerate group: zero between-measurement spread")
-    n = k_obs.size
-    mu = float(k_obs.mean())
-    tau2 = float(k_obs.var(ddof=1))
-    out = np.empty(n_draws)
-    s2 = s_obs ** 2
-    pos = s2 > 0  # zero-sigma entries stay pinned to their observation
-    for it in range(burn + n_draws):
-        kap = k_obs.copy()
-        if pos.any():
-            prec = 1.0 / s2[pos] + 1.0 / tau2
-            mean = (k_obs[pos] / s2[pos] + mu / tau2) / prec
-            kap[pos] = mean + rng.standard_normal(pos.sum()) / np.sqrt(prec)
-        mu = float(kap.mean() + rng.standard_normal() * np.sqrt(tau2 / n))
-        scatter = float(np.sum((kap - mu) ** 2))
-        tau2 = scatter / (2.0 * rng.gamma(0.5 * (n - 1), 1.0))
-        tau2 = max(tau2, 1e-12)
-        if it >= burn:
-            out[it - burn] = mu
-    return out
-
-
-def kappa_shift_posterior(group_live, group_dry, n_draws: int = 20000,
-                          burn: int = 1000, seed=0) -> PosteriorResult:
-    """Posterior of the difference in population-mean kappa between groups.
-
-    Each group is a sequence of (kappa, sigma) measurements modeled as
-    draws from a normal population with unknown mean and between-member
-    variance; the groups are independent, so the difference posterior is
-    the elementwise difference of their Gibbs chains.
-    """
-    rng = as_generator(seed)
-    live = _group_gibbs(group_live, rng, n_draws, burn)
-    dry = _group_gibbs(group_dry, rng, n_draws, burn)
-    diff = live - dry
-    return PosteriorResult(mean=float(diff.mean()), sd=float(diff.std(ddof=1)),
-                           samples=diff)

@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .._table import data_line, read_table, write_table
 from ..seeding import as_generator
 from .lineshape import _TABLE_MAX_LEVEL, Lineshape, default_grid
 
@@ -18,12 +17,7 @@ __all__ = [
     "build_interpolation",
     "fit_shift",
     "fit_shifts",
-    "average_shifts",
-    "scans_to_csv",
-    "scans_from_csv",
 ]
-
-_SCAN_COLUMNS = ("scan_id", "f_hz", "counts", "n_scans")
 
 
 @dataclass
@@ -299,64 +293,3 @@ def fit_shift(scan: OdmrScan, shape: Lineshape,
                                                  shape, max_shift)
     return FitShiftResult(lam0=float(lam0[0]), delta_f=float(delta_f[0]),
                           sigma_delta_f=float(sigma[0]), converged=bool(converged[0]))
-
-
-def average_shifts(fits, n_f: int):
-    """Average consecutive groups of n_f fitted shifts.
-
-    Non-converged fits are excluded; returns (means, standard_errors,
-    n_excluded). Groups left empty after exclusion yield NaN.
-    """
-    if n_f < 1:
-        raise ValueError("n_f must be >= 1")
-    shifts = np.array([f.delta_f for f in fits], dtype=float)
-    ok = np.array([f.converged for f in fits], dtype=bool)
-    n_groups = shifts.size // n_f
-    means = np.full(n_groups, np.nan)
-    errs = np.full(n_groups, np.nan)
-    for g in range(n_groups):
-        sel = ok[g * n_f:(g + 1) * n_f]
-        vals = shifts[g * n_f:(g + 1) * n_f][sel]
-        if vals.size:
-            means[g] = vals.mean()
-            errs[g] = vals.std(ddof=1) / np.sqrt(vals.size) if vals.size > 1 else np.inf
-    return means, errs, int((~ok).sum())
-
-
-def scans_to_csv(scans, path) -> None:
-    """Write scans in long format: `scan_id,f_hz,counts,n_scans`, one row
-    per frequency point."""
-    if isinstance(scans, OdmrScan):
-        scans = [scans]
-    sizes = [s.freqs.size for s in scans]
-    cols = (np.repeat(np.arange(len(scans)), sizes),
-            np.concatenate([s.freqs for s in scans]),
-            np.concatenate([s.counts for s in scans]),
-            np.repeat([s.n_scans for s in scans], sizes))
-    write_table(path, list(zip(_SCAN_COLUMNS, cols, ("%d", "%.6f", "%d", "%d"))))
-
-
-def scans_from_csv(path) -> list:
-    """Read the long format of `scans_to_csv`, one scan per `scan_id`.
-
-    `counts` and `n_scans` must be whole numbers, and every row of a scan
-    must carry the same `n_scans`; a row that breaks either is an error
-    naming the path and line.
-    """
-    _, (ids, freqs, counts, n_scans) = read_table(path, _SCAN_COLUMNS)
-    bad = np.flatnonzero((counts % 1 != 0) | (n_scans % 1 != 0))
-    if bad.size:
-        raise ValueError(f"{path}: line {data_line(path, bad[0])}: counts "
-                         f"{counts[bad[0]]:g} and n_scans {n_scans[bad[0]]:g} "
-                         "must be whole numbers")
-    scans = []
-    for i in dict.fromkeys(ids.tolist()):
-        rows = np.flatnonzero(ids == i)
-        bad = rows[n_scans[rows] != n_scans[rows[0]]]
-        if bad.size:
-            raise ValueError(f"{path}: line {data_line(path, bad[0])}: n_scans "
-                             f"{n_scans[bad[0]]:g} disagrees with {n_scans[rows[0]]:g} "
-                             f"on the first row of scan {i:g}")
-        scans.append(OdmrScan(freqs=freqs[rows], counts=counts[rows].astype(int),
-                              n_scans=int(n_scans[rows[0]])))
-    return scans

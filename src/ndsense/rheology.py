@@ -30,7 +30,6 @@ __all__ = [
     "ExponentFit",
     "RadiusFit",
     "msd",
-    "ensemble_msd_variance",
     "fit_diffusion",
     "anomalous_exponent",
     "complex_modulus",
@@ -345,22 +344,6 @@ def msd(traj: Trajectory, axes: str = "xy", lags=None, variance: str = "cov",
                     n_samples=k_out, dt=traj.dt,
                     meta={"noise_floor_nm2": noise_floor_nm2,
                           "floored": sat, "variance": variance})
-
-
-def ensemble_msd_variance(trajs, axes: str = "xy", lags=None):
-    """Empirical across-trajectory variance of the time-averaged MSD.
-
-    The brute-force fallback for the per-trajectory variance estimator.
-    Returns (taus, mean_msd, var_msd).
-    """
-    curves = [msd(t, axes=axes, lags=lags, variance="none", noise_floor_nm2=0.0)
-              for t in trajs]
-    taus = curves[0].taus
-    for c in curves[1:]:
-        if not np.array_equal(c.taus, taus):
-            raise ValueError("trajectories produced differing lag grids")
-    stack = np.stack([c.msd for c in curves])
-    return taus, stack.mean(axis=0), stack.var(axis=0, ddof=1)
 
 
 def _fit_mask(curve: MsdCurve, fit_range):

@@ -50,6 +50,18 @@ def naive_cov_variance(xi: np.ndarray, lag: int) -> float:
     return v
 
 
+def ensemble_msd_variance(trajs, lags, axes: str = "xy"):
+    """Across-trajectory mean and variance of the time-averaged MSD.
+
+    Each MSD is taken by direct slicing, summed over ``axes``. Returns
+    (taus, mean_msd, var_msd).
+    """
+    cols = ["xyz".index(a) for a in axes]
+    stack = np.array([[sum(((x[m:] - x[:-m]) ** 2).mean() for x in t.points[:, cols].T)
+                       for m in lags] for t in trajs])
+    return np.asarray(lags) * trajs[0].dt, stack.mean(axis=0), stack.var(axis=0, ddof=1)
+
+
 def laplace_msd(taus: np.ndarray, msd: np.ndarray, s: float) -> float:
     """One-sided Laplace transform of a tabulated MSD at argument s.
 

@@ -14,7 +14,7 @@ from scipy.stats import chi2
 
 from ndsense import chip, cli, media, odmr, rheology, segmentation, tracker
 from ndsense.seeding import substream
-from _oracles import laplace_modulus
+from _oracles import ensemble_msd_variance, laplace_modulus
 
 
 def _verdict(num, name, ok, detail):
@@ -225,7 +225,7 @@ def test_criterion_07_rheology_oracles():
     trajs = [media.simulate_brownian(1e3, 400, 9.6e-3,
                                      seed=substream(111, "medium", k))
              for k in range(800)]
-    _, _, var_emp = rheology.ensemble_msd_variance(trajs, lags=lags_b)
+    _, _, var_emp = ensemble_msd_variance(trajs, lags=lags_b)
     pred = np.mean([rheology.msd(t, lags=lags_b, noise_floor_nm2=0.0).var
                     for t in trajs], axis=0)
     ratios_b = pred / var_emp

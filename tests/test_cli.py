@@ -1,12 +1,16 @@
 """End-to-end command-line tests: configs, outputs, exit codes, determinism."""
 
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ndsense
 from ndsense import chip, cli
@@ -134,6 +138,35 @@ def test_bad_directed_run_exits_1_before_writing(tmp_path, capsys, directed, mes
     assert cli.main(["simulate", "--config", path, "--out-dir", str(out)]) == 1
     assert f"config error: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+NOT_WHOLE = (st.floats().filter(lambda v: not (v >= 0 and v % 1 == 0)) | st.booleans()
+             | st.text(max_size=3) | st.integers(max_value=-1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(key=st.sampled_from(["seed", "--seed", "start_step", "n_steps"]), data=st.data())
+def test_seed_and_step_counts_must_be_whole_numbers(tmp_path_factory, key, data):
+    """A fraction, bool, string or negative number is a config error naming
+    its key, never truncated into a run."""
+    value = data.draw(st.integers(max_value=-1) if key == "--seed" else NOT_WHOLE)
+    cfg, argv, named = brownian_cfg(), [], key
+    if key == "--seed":
+        argv = [f"--seed={value}"]
+    elif key == "seed":
+        cfg["seed"] = value
+    else:
+        run = {"start_step": 10, "n_steps": 5, "velocity_nm_per_s": [900.0, 0.0]}
+        run[key] = value
+        cfg["simulate"]["directed"] = [run]
+        named = f"simulate.directed[0].{key}"
+    root = tmp_path_factory.mktemp("whole")
+    path = write_config(root / "cfg.json", cfg)
+    err = io.StringIO()
+    with redirect_stderr(err):
+        assert cli.main(["simulate", "--config", path, "--out-dir", str(root / "out"), *argv]) == 1
+    assert f"config error: {named} must be a non-negative whole number" in err.getvalue()
+    assert not (root / "out").exists()
 
 
 @pytest.mark.parametrize("schedule, duration, built", [

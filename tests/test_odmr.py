@@ -1,5 +1,3 @@
-import re
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -182,41 +180,6 @@ def test_fit_shifts_singular_lane():
     delta_f, lam0, sigma, converged = got
     assert sigma[2] == np.inf and not converged[2] and lam0[2] == 0.0
     assert np.isfinite(sigma[[0, 1, 3]]).all() and converged[[0, 1, 3]].all()
-
-
-def test_average_shifts():
-    fits = [odmr.FitShiftResult(10.0, 1000.0, 100.0, True),
-            odmr.FitShiftResult(10.0, 3000.0, 100.0, True),
-            odmr.FitShiftResult(10.0, 9e9, 100.0, False)]
-    means, errs, n_excluded = odmr.average_shifts(fits, n_f=3)
-    assert means.shape == (1,)
-    assert means[0] == pytest.approx(2000.0)
-    assert errs[0] == pytest.approx(1000.0)
-    assert n_excluded == 1
-
-
-def test_scan_csv_roundtrip(tmp_path):
-    scans = [odmr.synthesize_scan(SHAPE, 10.0, 0.0, substream(4, "a"), n_scans=3),
-             odmr.synthesize_scan(SHAPE, 10.0, 1e6, substream(4, "b"), n_scans=3)]
-    path = tmp_path / "scans.csv"
-    odmr.scans_to_csv(scans, path)
-    back = odmr.scans_from_csv(path)
-    assert len(back) == 2
-    for orig, rt in zip(scans, back):
-        np.testing.assert_allclose(rt.freqs, orig.freqs, rtol=1e-9)
-        np.testing.assert_array_equal(rt.counts, orig.counts)
-        assert rt.n_scans == orig.n_scans == 3
-    # rows of one scan that disagree on n_scans are an error naming the line
-    lines = path.read_text().splitlines()
-    lines[5] = lines[5].removesuffix(",3") + ",4"
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: line 6: n_scans"):
-        odmr.scans_from_csv(path)
-    # a count or an n_scans that is not a whole number is an error naming the line
-    for row in ("0,2.87e9,99.7,2", "0,2.87e9,99,1.5"):
-        path.write_text(f"scan_id,f_hz,counts,n_scans\n0,2.86e9,99,2\n{row}\n")
-        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: line 3: counts"):
-            odmr.scans_from_csv(path)
 
 
 # -------------------------------------------------------------- CRB bounds
@@ -430,22 +393,3 @@ def test_calibrate_kappa_noisy():
     cal = odmr.calibrate_kappa(temps, shifts)
     assert cal.sigma_khz_per_C > 0
     assert abs(cal.kappa_khz_per_C + 60.0) < 3 * cal.sigma_khz_per_C
-
-
-def test_kappa_posterior_separates_groups():
-    rng = np.random.default_rng(29)
-    live = -60.0 + 1.5 * rng.standard_normal(8)
-    dry = -66.0 + 1.5 * rng.standard_normal(8)
-    post = odmr.kappa_shift_posterior(
-        list(zip(live, np.full(8, 0.5))), list(zip(dry, np.full(8, 0.5))),
-        n_draws=4000, burn=500, seed=1)
-    assert post.mean == pytest.approx(6.0, abs=3.0)
-    lo, hi = post.credible_interval(0.95)
-    assert lo < post.mean < hi
-    assert post.sd > 0
-
-
-def test_kappa_posterior_rejects_degenerate_group():
-    with pytest.raises(ValueError):
-        odmr.kappa_shift_posterior([(-60.0, 0.0)], [(-66.0, 0.5)] * 4,
-                                   n_draws=100, burn=10, seed=0)

@@ -14,6 +14,7 @@ from ndsense.seeding import substream
 from ndsense.trajectory import Trajectory
 
 from _oracles import (
+    ensemble_msd_variance,
     laplace_modulus,
     naive_cov_variance,
     naive_msd,
@@ -215,7 +216,7 @@ def test_ensemble_variance_agrees_with_cov_estimator():
     lags = [1, 2, 5, 10, 20, 50, 100]
     trajs = [media.simulate_brownian(D, n, dt, seed=substream(31, "medium", i))
              for i in range(50)]
-    taus, _, ens_var = rheology.ensemble_msd_variance(trajs, axes="xy", lags=lags)
+    taus, _, ens_var = ensemble_msd_variance(trajs, axes="xy", lags=lags)
     pred = np.mean([rheology.msd(t, axes="xy", lags=lags, variance="cov",
                                  noise_floor_nm2=0.0).var for t in trajs], axis=0)
     ratio = pred / ens_var

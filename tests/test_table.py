@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import reference_write_table
-from ndsense import odmr, segmentation
+from ndsense import segmentation
 from ndsense._table import _BLOCK_ROWS as BLOCK
-from ndsense._table import data_line, read_table, write_table
+from ndsense._table import read_table, write_table
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -65,6 +65,7 @@ def _lines(n_meta, n_rows):
 @SETTINGS
 @given(n_meta=st.integers(0, 3), n_rows=st.integers(1, 8), data=st.data())
 def test_malformed_rows_name_their_line(path, n_meta, n_rows, data):
+    """A bad row is named by its line in the file, empty lines before it counted."""
     lines = _lines(n_meta, n_rows)
     k = data.draw(st.integers(n_meta + 1, n_meta + n_rows), label="bad line index")
     kind = data.draw(st.sampled_from(["short", "long", "text"]), label="defect")
@@ -76,6 +77,11 @@ def test_malformed_rows_name_their_line(path, n_meta, n_rows, data):
     else:
         fields[data.draw(st.integers(0, 2))] = "oops"
     lines[k] = ",".join(fields)
+    gaps = data.draw(st.lists(st.integers(0, 2), min_size=n_rows, max_size=n_rows),
+                     label="empty lines before each row")
+    rows = lines[n_meta + 1:]
+    lines[n_meta + 1:] = [line for gap, row in zip(gaps, rows) for line in [""] * gap + [row]]
+    k += sum(gaps[:k - n_meta])
     path.write_text("\n".join(lines) + "\n")
     message = "non-numeric" if kind == "text" else "columns"
     with pytest.raises(ValueError, match=f"{re.escape(str(path))}: line {k + 1}: .*{message}"):
@@ -90,12 +96,6 @@ def test_bad_header_names_its_line(path, n_meta, header):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=f"line {n_meta + 1}: unexpected header"):
         read_table(path, ("a", "b", "c"))
-    # ODMR scans written as blank-line-separated f_hz,counts blocks
-    lines[n_meta:] = ["f_hz,counts", "2870000000.0,100", "", "2870000000.0,110"]
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: line {n_meta + 1}: "
-                                         "unexpected header"):
-        odmr.scans_from_csv(path)
 
 
 @pytest.mark.filterwarnings("error")
@@ -186,11 +186,3 @@ def test_empty_lines_and_leading_metadata_are_skipped(path):
     meta, (a, b, c) = read_table(path, ("a", "b", "c"))
     assert meta == {"a": "1", "b": "x=y"}
     assert a.tolist() == [1.0, 4.0] and b.tolist() == [2.5, 5.0] and c.tolist() == [-3.0, 6.0]
-    # data rows are counted as the parser counts them, empty lines left out
-    assert [data_line(path, k) for k in (0, 1)] == [8, 11]
-    path.write_text("scan_id,f_hz,counts,n_scans\n\n0,2.86e9,99,2\n\n0,2.87e9,99,3\n")
-    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: line 5: n_scans 3"):
-        odmr.scans_from_csv(path)
-    path.write_text("scan_id,f_hz,counts,n_scans\n\n0,2.86e9,99,2\n\n0,2.87e9,9.5,2\n")
-    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: line 5: counts 9.5"):
-        odmr.scans_from_csv(path)
