@@ -14,7 +14,7 @@ import argparse
 import json
 import os
 import sys
-from collections import Counter
+from collections import ChainMap, Counter
 from functools import partial
 
 import numpy as np
@@ -29,47 +29,81 @@ SCHEMA_VERSION = 1
 _SHIFT_COLUMNS = ("t_s", "delta_f_hz", "sigma_hz")
 # viscous-medium config keys and the ViscousMediumModel fields they set
 _VISCOUS_FIELDS = {"eta0_pa_s": "eta0", "mu_pa_s_per_C": "mu", "T_ref_C": "T_ref"}
-# medium keys each kind takes besides "kind"
-_MEDIUM_KEYS = {
-    "brownian": {"D_nm2_per_s"},
-    "viscous": {*_VISCOUS_FIELDS, "temperature_C", "radius_nm"},
-    "viscoelastic": {"alpha", "K_alpha"},
-}
-
-# Allowed keys of each config section, by path; a path ending in "[]" is a
-# list of sections. Parents come first, so they are known to be objects
-# before their children are looked up.
-_SCHEMA = {
-    "config": {"schema_version", "seed", "medium", "simulate", "tracker",
-               "odmr", "schedule", "analysis"},
-    "config.medium": {"kind"}.union(*_MEDIUM_KEYS.values()),
-    "config.simulate": {"duration_s", "dt_s", "directed"},
-    "config.simulate.directed[]": {"start_step", "n_steps", "velocity_nm_per_s"},
-    "config.tracker": {"enabled", "brightness_cps"},
-    "config.odmr": {"enabled", "lam0", "kappa_khz_per_C", "bin_s"},
-    "config.schedule": {"kind", "T_C", "start_C", "step_C", "dwell_s",
-                        "n_levels", "base_C", "delta_C", "half_period_s",
-                        "n_cycles", "tau_s"},
-    "config.analysis": {"max_lag_s", "modulus", "psd", "force", "segment",
-                        "radius_fit"},
-    "config.analysis.modulus": {"temperature_C", "radius_nm"},
-    "config.analysis.psd": {"window_s"},
-    "config.analysis.force": {"enabled"},
-    "config.analysis.segment": {"window_steps"},
-    "config.analysis.radius_fit": {"temps_C"},
-}
 
 
 class ConfigError(Exception):
     """Invalid configuration; maps to exit code 1."""
 
 
-def _check_keys(d, allowed, path: str) -> None:
-    if not isinstance(d, dict):
-        raise ConfigError(f"{path} must be a JSON object")
-    unknown = set(d) - allowed
+def _rule(what: str, accepts, convert=lambda value: value):
+    """A value rule: ``convert(value)``, or a config error naming the key."""
+    def check(value, key: str):
+        if not accepts(value):
+            raise ConfigError(f"{key} must be {what}, not {json.dumps(value)}")
+        return convert(value)
+    return check
+
+
+def _finite(v) -> bool:  # a JSON number, not a bool, NaN, infinity or int beyond float range
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+_number = _rule("a finite number", _finite, float)
+_positive = _rule("a positive finite number", lambda v: _finite(v) and v > 0, float)
+_count = _rule("a non-negative whole number", lambda v: _finite(v) and v >= 0 and v % 1 == 0, int)
+_flag = _rule("true or false", lambda v: isinstance(v, bool))
+_kind = _rule("a string", lambda v: isinstance(v, str))
+_velocity = _rule("a list of 2 or 3 finite numbers",
+                  lambda v: isinstance(v, list) and len(v) in (2, 3) and all(map(_finite, v)),
+                  lambda v: tuple(map(float, v)))
+_version = _rule(str(SCHEMA_VERSION), lambda v: _finite(v) and v == SCHEMA_VERSION, int)
+_object = _rule("a JSON object", lambda v: isinstance(v, dict))
+_list = _rule("a list", lambda v: isinstance(v, list))
+
+
+def _section(value, path: str, rules=None) -> dict:
+    """The JSON object at config ``path``, each value converted by its rule in
+    ``rules``, by default the path's ``_SCHEMA`` entry."""
+    where = f"config.{path}".rstrip(".")
+    rules = _SCHEMA[where] if rules is None else rules
+    unknown = set(_object(value, path or "config")) - set(rules)
     if unknown:
-        raise ConfigError(f"unknown key(s) in {path}: {', '.join(sorted(unknown))}")
+        raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
+    return {key: rules[key](item, f"{path}.{key}".lstrip(".")) for key, item in value.items()}
+
+
+def _sections(value, path: str) -> list:
+    rules = _SCHEMA[f"config.{path}[]"]
+    return [_section(item, f"{path}[{i}]", rules) for i, item in enumerate(_list(value, path))]
+
+
+# medium keys each kind takes besides "kind", with their rules
+_MEDIUM_KEYS = {"brownian": {"D_nm2_per_s": _number},
+                "viscous": {**dict.fromkeys([*_VISCOUS_FIELDS, "temperature_C"], _number),
+                            "radius_nm": _positive},
+                "viscoelastic": {"alpha": _number, "K_alpha": _number}}
+
+# The one rule of each config key, by section path ("[]": each entry of a list)
+_SCHEMA = {
+    "config": {"schema_version": _version, "seed": _count, **dict.fromkeys(
+        ("medium", "simulate", "tracker", "odmr", "schedule", "analysis"), _section)},
+    "config.medium": {"kind": _kind, **ChainMap(*_MEDIUM_KEYS.values())},
+    "config.simulate": {"duration_s": _positive, "dt_s": _positive, "directed": _sections},
+    "config.simulate.directed[]": {"start_step": _count, "n_steps": _count,
+                                   "velocity_nm_per_s": _velocity},
+    "config.tracker": {"enabled": _flag, "brightness_cps": _positive},
+    "config.odmr": {"enabled": _flag, "lam0": _positive, "kappa_khz_per_C": _number,
+                    "bin_s": _positive},
+    "config.schedule": {"kind": _kind, "n_levels": _count, "n_cycles": _count, **dict.fromkeys(
+        ("T_C", "start_C", "step_C", "dwell_s", "base_C", "delta_C", "half_period_s", "tau_s"),
+        _number)},
+    "config.analysis": {"max_lag_s": _positive, **dict.fromkeys(
+        ("modulus", "psd", "force", "segment"), _section)},
+    "config.analysis.modulus": {"temperature_C": _number, "radius_nm": _positive},
+    "config.analysis.psd": {"window_s": _positive},
+    "config.analysis.force": {"enabled": _flag},
+    "config.analysis.segment": {"window_steps": _count},
+}
 
 
 def _need(d: dict, key: str, path: str):
@@ -78,18 +112,16 @@ def _need(d: dict, key: str, path: str):
     return d[key]
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _whole_number(value, key: str) -> int:
-    """``value`` as an int: a non-negative whole number, not a bool or a string."""
-    if not _is_number(value) or value < 0 or value % 1:
-        raise ConfigError(f"{key} must be a non-negative whole number, not {json.dumps(value)}")
-    return int(value)
+def _model(where: str, build, *args, **kwargs):
+    """Call ``build``; a value or key it rejects is a config error naming ``where``."""
+    try:
+        return build(*args, **kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def load_config(path: str | None) -> dict:
+    """The config at ``path``, each value converted by its ``_SCHEMA`` rule."""
     if path is None:
         return {"schema_version": SCHEMA_VERSION}
     try:
@@ -99,28 +131,19 @@ def load_config(path: str | None) -> dict:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    for where, allowed in _SCHEMA.items():
-        section = cfg
-        for key in where.removesuffix("[]").split(".")[1:]:
-            section = section.get(key, {})
-        for item in (section or ()) if where.endswith("[]") else [section]:
-            _check_keys(item, allowed, where)
+    cfg = _section(cfg, "")
     kind = cfg.get("medium", {}).get("kind")
-    if isinstance(kind, str) and kind in _MEDIUM_KEYS:
-        _check_keys(cfg["medium"], {"kind", *_MEDIUM_KEYS[kind]}, f"config.medium ({kind})")
-    version = _need(cfg, "schema_version", "config")
-    if version != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported schema_version {version} "
-                          f"(expected {SCHEMA_VERSION})")
+    if kind in _MEDIUM_KEYS:  # a known kind takes only its own keys
+        _section(cfg["medium"], f"medium ({kind})", {"kind": _kind, **_MEDIUM_KEYS[kind]})
+    _need(cfg, "schema_version", "config")
     return cfg
 
 
 def _master_seed(cfg: dict, args) -> int:
-    if args.seed is not None:
-        return _whole_number(args.seed, "--seed")
-    if "seed" in cfg:
-        return _whole_number(cfg["seed"], "seed")
-    raise ConfigError("no seed: provide --seed or a 'seed' config key")
+    seed = cfg.get("seed") if args.seed is None else _count(args.seed, "--seed")
+    if seed is None:
+        raise ConfigError("no seed: provide --seed or a 'seed' config key")
+    return seed
 
 
 def _out_dir(args) -> str:
@@ -149,43 +172,38 @@ def _build_schedule(cfg: dict):
                "alternating": chip.alternating_schedule}.get(kind)
     if builder is None:
         raise ConfigError(f"unknown schedule kind: {kind}")
-    params = {key: value for key, value in cfg.items() if key != "kind"}
-    for key, value in params.items():
-        if not _is_number(value):
-            raise ConfigError(f"schedule key '{key}' must be a number, not {value!r}")
-    try:
-        return builder(**params)
-    except (TypeError, ValueError) as exc:  # a key of another kind, a missing or bad value
-        raise ConfigError(f"{kind} schedule: {exc}") from exc
+    return _model(f"{kind} schedule", builder,
+                  **{key: value for key, value in cfg.items() if key != "kind"})
 
 
 def _simulate_truth(cfg: dict, seed: int) -> Trajectory:
     med = _need(cfg, "medium", "config")
     sim = _need(cfg, "simulate", "config")
-    duration = float(_need(sim, "duration_s", "simulate"))
-    dt = float(sim.get("dt_s", tracker.TrackerConfig.T_orbit))
-    if duration <= 0 or dt <= 0:
-        raise ConfigError("simulate.duration_s and dt_s must be positive")
-    n_steps = int(round(duration / dt))
+    duration = _need(sim, "duration_s", "simulate")
+    dt = sim.get("dt_s", tracker.TrackerConfig.T_orbit)
+    n_steps = round(duration / dt)
+    if n_steps < 1:
+        raise ConfigError(f"simulate.duration_s {duration:g} is under half a dt_s step")
     specs = _directed_specs(sim, n_steps)
     rng = substream(seed, "medium")
     kind = _need(med, "kind", "medium")
     meta = {"kind": kind}
 
     if kind == "brownian":
-        d_val = float(_need(med, "D_nm2_per_s", "medium"))
-        traj = media.simulate_brownian(d_val, n_steps, dt, rng)
+        d_val = _need(med, "D_nm2_per_s", "medium")
+        traj = _model("medium.D_nm2_per_s", media.simulate_brownian, d_val, n_steps, dt, rng)
         meta["D_nm2_per_s"] = d_val
     elif kind == "viscous":
-        temp = float(_need(med, "temperature_C", "medium"))
-        radius = float(_need(med, "radius_nm", "medium"))
-        eta = media.viscosity_at(_viscous_model(med), temp)
-        d_val = media.stokes_einstein_D(celsius_to_kelvin(temp), radius, eta)
+        temp = _need(med, "temperature_C", "medium")
+        radius = _need(med, "radius_nm", "medium")
+        eta = _model("medium.temperature_C", media.viscosity_at, _viscous_model(med), temp)
+        d_val = _model("medium.temperature_C", media.stokes_einstein_D,
+                       celsius_to_kelvin(temp), radius, eta)
         traj = media.simulate_brownian(d_val, n_steps, dt, rng)
         meta.update(D_nm2_per_s=d_val, temperature_C=temp, radius_nm=radius)
     elif kind == "viscoelastic":
-        model = media.ViscoelasticModel(alpha=float(_need(med, "alpha", "medium")),
-                                        K_alpha=float(_need(med, "K_alpha", "medium")))
+        model = _model("medium", media.ViscoelasticModel, alpha=_need(med, "alpha", "medium"),
+                       K_alpha=_need(med, "K_alpha", "medium"))
         traj = media.simulate_viscoelastic(model, n_steps, dt, rng)
         meta.update(alpha=model.alpha, K_alpha=model.K_alpha)
     else:
@@ -198,15 +216,10 @@ def _simulate_truth(cfg: dict, seed: int) -> Trajectory:
 def _directed_specs(sim: dict, n_steps: int) -> list:
     """The runs of `simulate.directed`; a bad entry is a config error naming it."""
     specs = []
-    for i, d in enumerate(sim.get("directed") or []):
+    for i, d in enumerate(sim.get("directed", [])):
         where = f"simulate.directed[{i}]"
-        try:
-            specs.append(media.DirectedSegmentSpec(
-                start=_whole_number(_need(d, "start_step", where), f"{where}.start_step"),
-                duration=_whole_number(_need(d, "n_steps", where), f"{where}.n_steps"),
-                velocity=tuple(_need(d, "velocity_nm_per_s", where))))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
+        specs.append(_model(where, media.DirectedSegmentSpec, _need(d, "start_step", where),
+                            _need(d, "n_steps", where), _need(d, "velocity_nm_per_s", where)))
     bad = media.first_bad_segment(specs, n_steps)
     if bad:
         raise ConfigError(f"simulate.directed[{bad[0]}]: {bad[1]}")
@@ -214,28 +227,32 @@ def _directed_specs(sim: dict, n_steps: int) -> list:
 
 
 def _viscous_model(med: dict) -> media.ViscousMediumModel:
-    return media.ViscousMediumModel(**{field: float(_need(med, key, "medium"))
+    return media.ViscousMediumModel(**{field: _need(med, key, "medium")
                                        for key, field in _VISCOUS_FIELDS.items()})
 
 
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     seed = _master_seed(cfg, args)
-
-    truth = _simulate_truth(cfg, seed)
-    duration_s = float(cfg["simulate"]["duration_s"])
-
     tr_cfg = cfg.get("tracker", {})
     od_cfg = cfg.get("odmr", {})
+    # the schedule and the calibration are built before the first draw, so a
+    # value their models reject stops the run before any simulation
     schedule = _build_schedule(cfg["schedule"]) if "schedule" in cfg else None
+    cal = _model("odmr.kappa_khz_per_C", odmr.KappaCalibration,
+                 od_cfg.get("kappa_khz_per_C", odmr.DEFAULT_KAPPA_KHZ_PER_C),
+                 odmr.DEFAULT_KAPPA_SIGMA_KHZ_PER_C) if od_cfg.get("enabled", False) else None
+
+    truth = _simulate_truth(cfg, seed)
+    duration_s = cfg["simulate"]["duration_s"]
 
     # every output is computed before the first is written, so a failed
     # run leaves no files behind; each value writes one file
     outputs = {"truth.csv": truth.to_csv}
 
     if tr_cfg.get("enabled", False):
-        brightness = float(tr_cfg.get("brightness_cps", 2e6))
-        est, diag = tracker.track(truth, tracker.TrackerConfig(), brightness,
+        est, diag = tracker.track(truth, tracker.TrackerConfig(),
+                                  tr_cfg.get("brightness_cps", 2e6),
                                   substream(seed, "tracker-photons"))
         outputs.update({"estimate.csv": est.to_csv, "diagnostics.csv": diag.to_csv})
 
@@ -246,26 +263,23 @@ def cmd_simulate(args) -> int:
         outputs["setpoints.csv"] = partial(chip.setpoints_to_csv, times, temps)
         outputs["timeline.csv"] = partial(chip.timeline_to_csv, events)
 
-    if od_cfg.get("enabled", False):
-        kappa = float(od_cfg.get("kappa_khz_per_C", odmr.DEFAULT_KAPPA_KHZ_PER_C))
-        lam0 = float(od_cfg.get("lam0", odmr.DEFAULT_PHOTON_BUDGET))
-        bin_s = float(od_cfg.get("bin_s", odmr.DEFAULT_BIN_S))
+    if cal is not None:
+        bin_s = od_cfg.get("bin_s", odmr.DEFAULT_BIN_S)
         if schedule is not None:
             base = schedule.steps[0][1]
             bin_times, bin_temps = chip.setpoint_series(schedule, dt=bin_s,
                                                         duration=duration_s)
 
             def shift_of_t(t):
-                return kappa * 1e3 * (np.interp(t, bin_times, bin_temps) - base)
+                return cal.kappa_khz_per_C * 1e3 * (np.interp(t, bin_times, bin_temps) - base)
         else:
             shift_of_t = None  # no schedule: zero true shift
         series = odmr.simulate_shift_series(
-            odmr.default_lineshape(), lam0, duration_s, substream(seed, "odmr-photons"),
-            delta_f_of_t=shift_of_t, bin_s=bin_s)
+            odmr.default_lineshape(), od_cfg.get("lam0", odmr.DEFAULT_PHOTON_BUDGET), duration_s,
+            substream(seed, "odmr-photons"), delta_f_of_t=shift_of_t, bin_s=bin_s)
         outputs["shifts.csv"] = partial(write_table, columns=[
             (name, col, "%.6f") for name, col in zip(
                 _SHIFT_COLUMNS, (series.times, series.delta_f, series.sigma))])
-        cal = odmr.KappaCalibration(kappa, odmr.DEFAULT_KAPPA_SIGMA_KHZ_PER_C)
         outputs["temperature.csv"] = odmr.shift_series_to_temperature(series, cal).to_csv
 
     out = _out_dir(args)
@@ -326,18 +340,10 @@ def cmd_analyze(args) -> int:
     if bool(args.shifts) != bool(args.setpoints):
         given, missing = ("--shifts", "--setpoints") if args.shifts else ("--setpoints", "--shifts")
         raise ConfigError(f"kappa calibration needs {missing} with {given}")
-    med = cfg.get("medium", {})
-    viscous = _VISCOUS_FIELDS.keys() <= med.keys()
-    if "radius_fit" in an:
-        temps = an["radius_fit"].get("temps_C")
-        if (not isinstance(temps, list) or len(temps) != len(args.traj) or len(temps) < 3
-                or not viscous or not all(_is_number(t) for t in temps)):
-            raise ConfigError("analysis.radius_fit needs one temps_C number per --traj file "
-                              f"(at least 3) and medium {', '.join(_VISCOUS_FIELDS)}")
     null = None
     if "segment" in an:
         steps = an["segment"].get("window_steps", segmentation.DEFAULT_WINDOW_STEPS)
-        null = segmentation.gamma_null(N=steps)
+        null = _model("analysis.segment.window_steps", segmentation.gamma_null, N=steps)
         if not 0.0 < null.critical_gamma < 1.0:
             # gamma lies in [0, 1], so such a threshold flags no window or every one
             raise ConfigError(f"analysis.segment.window_steps {steps} gives critical gamma "
@@ -369,8 +375,8 @@ def cmd_analyze(args) -> int:
 
     if "modulus" in an:
         mcfg = an["modulus"]
-        t_k = celsius_to_kelvin(float(_need(mcfg, "temperature_C", "analysis.modulus")))
-        r_nm = float(_need(mcfg, "radius_nm", "analysis.modulus"))
+        t_k = celsius_to_kelvin(_need(mcfg, "temperature_C", "analysis.modulus"))
+        r_nm = _need(mcfg, "radius_nm", "analysis.modulus")
         mod = rheology.complex_modulus(curve, t_k, r_nm)
         mod.to_csv(os.path.join(out, "modulus.csv"))
     if "psd" in an or force_on:
@@ -396,9 +402,9 @@ def cmd_analyze(args) -> int:
                    "degenerate": st.degenerate}
             for name, st in classes.classes.items()}
 
-    temps = an["radius_fit"]["temps_C"] if "radius_fit" in an else \
-        [t.meta.get("temperature_C") for t in trajs]
-    if len(trajs) >= 3 and viscous and None not in temps:
+    med = cfg.get("medium", {})
+    temps = [t.meta.get("temperature_C") for t in trajs]
+    if len(trajs) >= 3 and _VISCOUS_FIELDS.keys() <= med.keys() and None not in temps:
         # the first trajectory's fit is the one summarised above
         fits = [dfit] + [_fit_D(t, an)[1] for t in trajs[1:]]
         pairs = [(float(temp), fit.D) for temp, fit in zip(temps, fits)]
@@ -433,10 +439,10 @@ def cmd_analyze(args) -> int:
 
 def cmd_crb(args) -> int:
     od = load_config(args.config).get("odmr", {})
-    lam0 = float(od.get("lam0", odmr.DEFAULT_PHOTON_BUDGET))
-    kappa = float(od.get("kappa_khz_per_C", odmr.DEFAULT_KAPPA_KHZ_PER_C))
+    lam0 = od.get("lam0", odmr.DEFAULT_PHOTON_BUDGET)
+    kappa = od.get("kappa_khz_per_C", odmr.DEFAULT_KAPPA_KHZ_PER_C)
     shape = odmr.default_lineshape()
-    sens = odmr.crb_temperature_sensitivity(shape, lam0, kappa)
+    sens = _model("odmr.kappa_khz_per_C", odmr.crb_temperature_sensitivity, shape, lam0, kappa)
     per_scan = odmr.shift_bound_per_scan(shape, lam0)
     result = {"sensitivity_C_per_sqrtHz": sens,
               "shift_sigma_hz_per_scan": per_scan,
@@ -474,10 +480,13 @@ def cmd_gamma_null(args) -> int:
 
 # -------------------------------------------------------------------- main
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_command(sub, name: str, func, summary: str) -> argparse.ArgumentParser:
+    p = sub.add_parser(name, help=summary)
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--seed", type=int, help="master seed (overrides config)")
     p.add_argument("--out-dir", help="output directory (default: cwd)")
+    p.set_defaults(func=func)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -486,35 +495,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Dual-mode nanodiamond sensing simulator and analysis")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="generate truth/tracking/ODMR runs")
-    _add_common(p)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("analyze", help="MSD, moduli, spectra, segmentation")
-    _add_common(p)
+    _add_command(sub, "simulate", cmd_simulate, "generate truth/tracking/ODMR runs")
+    p = _add_command(sub, "analyze", cmd_analyze, "MSD, moduli, spectra, segmentation")
     p.add_argument("--traj", action="append",
                    help="trajectory CSV (repeatable)")
     p.add_argument("--temperature", help="temperature CSV for Allan analysis")
     p.add_argument("--shifts", help="fitted shift CSV for kappa calibration")
     p.add_argument("--setpoints", help="setpoint CSV for kappa calibration")
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("crb", help="thermometry sensitivity bound")
-    _add_common(p)
-    p.set_defaults(func=cmd_crb)
-
-    p = sub.add_parser("allan", help="Allan deviation of a temperature CSV")
-    _add_common(p)
+    _add_command(sub, "crb", cmd_crb, "thermometry sensitivity bound")
+    p = _add_command(sub, "allan", cmd_allan, "Allan deviation of a temperature CSV")
     p.add_argument("--input", required=True, help="temperature CSV")
-    p.set_defaults(func=cmd_allan)
-
-    p = sub.add_parser("gamma-null", help="directionality-ratio null")
-    _add_common(p)
+    p = _add_command(sub, "gamma-null", cmd_gamma_null, "directionality-ratio null")
     p.add_argument("--n", type=int, default=segmentation.DEFAULT_WINDOW_STEPS,
                    help="steps per window")
     p.add_argument("--m", type=int, default=segmentation.DEFAULT_DIMS, help="dimensions")
     p.add_argument("--confidence", type=float, default=segmentation.DEFAULT_CONFIDENCE)
-    p.set_defaults(func=cmd_gamma_null)
     return parser
 
 

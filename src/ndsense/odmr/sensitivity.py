@@ -102,6 +102,8 @@ def shift_bound_per_scan(shape: Lineshape, lam0: float, freqs=None) -> float:
     """Shift-only standard deviation bound (Hz) for one scan:
     sigma^2 >= (1/lam0) [sum_i L'^2(f_i)/L(f_i)]^-1.
     """
+    if lam0 <= 0:
+        raise ValueError("lam0 must be positive")
     if freqs is None:
         freqs = default_grid()
     freqs = np.asarray(freqs, dtype=float)

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ndsense
-from ndsense import chip, cli
+from ndsense import chip, cli, media, odmr
 from ndsense._table import read_table
 from ndsense.rheology import MsdCurve
 from ndsense.trajectory import Trajectory
@@ -124,11 +124,11 @@ def test_simulate_failure_writes_nothing(tmp_path, capsys):
     ([{"start_step": 10, "n_steps": 0, "velocity_nm_per_s": [900.0, 0.0]}],
      "simulate.directed[0]: duration must be >= 1 step"),
     ([{"start_step": 10, "n_steps": 5, "velocity_nm_per_s": [900.0]}],
-     "simulate.directed[0]: velocity must be a finite 2- or 3-vector"),
+     "simulate.directed[0].velocity_nm_per_s must be a list of 2 or 3 finite numbers"),
     ([{"start_step": 10, "n_steps": 5, "velocity_nm_per_s": [float("inf"), 0.0]}],
-     "simulate.directed[0]: velocity must be a finite 2- or 3-vector"),
+     "simulate.directed[0].velocity_nm_per_s must be a list of 2 or 3 finite numbers"),
     ([{"start_step": 10, "n_steps": 5, "velocity_nm_per_s": 900.0}],
-     "simulate.directed[0]: "),
+     "simulate.directed[0].velocity_nm_per_s must be a list of 2 or 3 finite numbers"),
 ], ids=["outside", "overlap", "no-steps", "1-vector", "infinite", "scalar"])
 def test_bad_directed_run_exits_1_before_writing(tmp_path, capsys, directed, message):
     cfg = brownian_cfg()  # 208 steps
@@ -253,6 +253,8 @@ UNKNOWN_KEYS = [
     ("analysis.diffusion", "single_tau_s", 0.1),
     ("analysis.segment", "confidence", 0.95),
     ("analysis.segment", "min_length_nm", 500.0),
+    # r_hydro takes each trajectory's temperature_C metadata, never a typed list
+    ("analysis", "radius_fit", {"temps_C": [33.0, 36.0, 39.0]}),
 ]
 
 
@@ -326,6 +328,191 @@ def test_medium_keys_strict_per_kind(tmp_path, capsys, medium, key):
     assert cli.main(["simulate", "--config", path, "--out-dir", str(out)]) == 1
     err = capsys.readouterr().err
     assert f"unknown key(s) in config.medium ({medium['kind']}): {key}" in err
+    assert not out.exists()
+
+
+# the rule each config key's value must keep; full_cfg(key) holds the key
+KEY_RULES = {
+    "schema_version": "version", "seed": "count", "simulate.directed": "sections",
+    "simulate.directed[0].velocity_nm_per_s": "velocity", "medium.kind": "kind",
+    "schedule.kind": "kind",
+    **dict.fromkeys(["medium", "simulate", "tracker", "odmr", "schedule", "analysis",
+                     "analysis.modulus", "analysis.psd", "analysis.force",
+                     "analysis.segment"], "section"),
+    **dict.fromkeys(["medium.D_nm2_per_s", "medium.eta0_pa_s", "medium.mu_pa_s_per_C",
+                     "medium.T_ref_C", "medium.temperature_C", "medium.alpha", "medium.K_alpha",
+                     "odmr.kappa_khz_per_C", "schedule.T_C", "schedule.start_C",
+                     "schedule.step_C", "schedule.dwell_s", "schedule.base_C",
+                     "schedule.delta_C", "schedule.half_period_s", "schedule.tau_s",
+                     "analysis.modulus.temperature_C"], "number"),
+    **dict.fromkeys(["simulate.duration_s", "simulate.dt_s", "tracker.brightness_cps",
+                     "odmr.lam0", "odmr.bin_s", "medium.radius_nm", "analysis.max_lag_s",
+                     "analysis.modulus.radius_nm", "analysis.psd.window_s"], "positive"),
+    **dict.fromkeys(["simulate.directed[0].start_step", "simulate.directed[0].n_steps",
+                     "schedule.n_levels", "schedule.n_cycles",
+                     "analysis.segment.window_steps"], "count"),
+    **dict.fromkeys(["tracker.enabled", "odmr.enabled", "analysis.force.enabled"], "flag"),
+}
+
+MEDIA = [{"kind": "brownian", "D_nm2_per_s": 1e4}, VISCOUS_RUN,
+         {"kind": "viscoelastic", "alpha": 0.6, "K_alpha": 2e3}]
+SCHEDULES = [{"kind": "staircase", "start_C": 24.0, "step_C": 4.0, "dwell_s": 1.0,
+              "n_levels": 2, "tau_s": 0.5},
+             {"kind": "alternating", "base_C": 20.0, "delta_C": 5.0, "half_period_s": 1.0,
+              "n_cycles": 1},
+             {"kind": "constant", "T_C": 25.0}]
+
+
+def full_cfg(key):
+    """A valid config with every section; its medium and schedule are of a kind
+    that takes ``key``."""
+    name = key.rsplit(".", 1)[-1]
+    cfg = brownian_cfg(
+        medium=dict(next(m for m in MEDIA if name in m) if key.startswith("medium.") else MEDIA[0]),
+        schedule=dict(next(s for s in SCHEDULES if name in s)
+                      if key.startswith("schedule.") else SCHEDULES[0]),
+        tracker={"enabled": False, "brightness_cps": 2e6},
+        odmr={"enabled": False, "lam0": 10.0, "kappa_khz_per_C": -60.0, "bin_s": 0.4},
+        analysis={"max_lag_s": 0.5, "modulus": {"temperature_C": 25.0, "radius_nm": 50.0},
+                  "psd": {"window_s": 0.5}, "force": {"enabled": True},
+                  "segment": {"window_steps": 20}})
+    cfg["simulate"].update(dt_s=0.01, directed=[
+        {"start_step": 10, "n_steps": 5, "velocity_nm_per_s": [900.0, 0.0]}])
+    return cfg
+
+
+def set_key(cfg, key, value):
+    *parents, last = key.replace("[0]", ".0").split(".")
+    for name in parents:
+        cfg = cfg[int(name)] if name.isdigit() else cfg[name]
+    cfg[last] = value
+
+
+NON_NUMBERS = (st.text(max_size=4) | st.just("1e4") | st.booleans() | st.none()
+               | st.lists(st.integers(), max_size=3)
+               | st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
+NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+NUMBERS = st.integers() | st.floats()
+BREAKS = {
+    "number": NON_NUMBERS | NON_FINITE,
+    "version": NON_NUMBERS | NON_FINITE | st.integers().filter(lambda v: v != 1),
+    "positive": (st.sampled_from([0, 0.0, -0.0]) | st.integers(max_value=-1)
+                 | st.floats(max_value=0.0) | NON_NUMBERS | NON_FINITE),
+    "count": (NON_NUMBERS | NON_FINITE | st.integers(max_value=-1)
+              | st.floats(allow_nan=False, allow_infinity=False).filter(lambda v: v % 1 != 0)),
+    "flag": st.sampled_from(["no", "true", 0, 1]) | NUMBERS | NON_NUMBERS.filter(
+        lambda v: not isinstance(v, bool)),
+    "kind": NUMBERS | st.booleans() | st.none() | st.lists(st.text(max_size=2), max_size=2),
+    "section": st.text(max_size=4) | NUMBERS | st.booleans() | st.none()
+               | st.lists(st.integers(), max_size=2),
+    "sections": (st.text(max_size=4) | NUMBERS | st.booleans() | st.none()
+                 | st.dictionaries(st.text(max_size=2), st.integers(), max_size=1)
+                 | st.lists(NUMBERS | st.text(max_size=2), min_size=1, max_size=2)),
+    "velocity": (st.just("12") | st.text(max_size=4) | NUMBERS | st.booleans() | st.none()
+                 | st.lists(st.floats(-1e3, 1e3), max_size=5).filter(lambda v: len(v) not in (2, 3))
+                 | st.lists(NON_FINITE | st.text(max_size=1) | st.booleans(), min_size=2,
+                            max_size=3)),
+}
+
+
+def test_key_rule_table_covers_the_schema():
+    keys = {f"{where}.{key}".removeprefix("config.").replace("[]", "[0]")
+            for where, rules in cli._SCHEMA.items() for key in rules}
+    assert keys == set(KEY_RULES)
+
+
+@pytest.mark.parametrize("key", ["medium.D_nm2_per_s", "medium.radius_nm", "medium.alpha",
+                                 "schedule.base_C", "schedule.T_C"])
+def test_full_configs_run(tmp_path, key):
+    path = write_config(tmp_path / "cfg.json", full_cfg(key))
+    assert cli.main(["simulate", "--config", path, "--out-dir", str(tmp_path / "out")]) == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(key=st.sampled_from(sorted(KEY_RULES)), data=st.data())
+def test_a_value_that_breaks_its_rule_exits_1_naming_the_key(tmp_path_factory, key, data):
+    """A string, bool, null, NaN, infinity, list or object where its rule
+    wants something else (or a number outside a positive or whole-count
+    rule) stops the run before any output, never converted into one."""
+    value = data.draw(BREAKS[KEY_RULES[key]], label="value")
+    cfg = full_cfg(key)
+    set_key(cfg, key, value)
+    root = tmp_path_factory.mktemp("rule")
+    path = write_config(root / "cfg.json", cfg)
+    err = io.StringIO()
+    with redirect_stderr(err):
+        assert cli.main(["simulate", "--config", path, "--out-dir", str(root / "out")]) == 1
+    assert f"config error: {key}" in err.getvalue()
+    assert not (root / "out").exists()
+
+
+def test_whole_number_duration_runs_as_its_float(tmp_path):
+    truth = []
+    for duration in (2, 2.0):
+        path = write_config(tmp_path / "cfg.json", brownian_cfg(duration=duration))
+        out = tmp_path / repr(duration)
+        assert cli.main(["simulate", "--config", path, "--out-dir", str(out)]) == 0
+        truth.append((out / "truth.csv").read_bytes())
+    assert truth[0] == truth[1]
+
+
+@pytest.mark.parametrize("cmd, cfg, message", [
+    ("simulate", brownian_cfg(D="1e4", duration=True),
+     'medium.D_nm2_per_s must be a finite number, not "1e4"'),
+    ("simulate", brownian_cfg(simulate={"duration_s": 2.0, "directed": [
+        {"start_step": 10, "n_steps": 5, "velocity_nm_per_s": "12"}]}),
+     'simulate.directed[0].velocity_nm_per_s must be a list of 2 or 3 finite numbers, not "12"'),
+    ("simulate", brownian_cfg(tracker={"enabled": "no"}),
+     'tracker.enabled must be true or false, not "no"'),
+    ("crb", brownian_cfg(odmr={"lam0": -10}), "odmr.lam0 must be a positive finite number"),
+    ("analyze", brownian_cfg(analysis={"max_lag_s": -5}),
+     "analysis.max_lag_s must be a positive finite number, not -5"),
+    ("analyze", brownian_cfg(analysis={"max_lag_s": "1"}),
+     'analysis.max_lag_s must be a positive finite number, not "1"'),
+    ("analyze", brownian_cfg(analysis={"modulus": {"temperature_C": "25", "radius_nm": 50}}),
+     'analysis.modulus.temperature_C must be a finite number, not "25"'),
+    ("analyze", brownian_cfg(analysis={"psd": {"window_s": "2"}, "force": {"enabled": "no"}}),
+     'analysis.psd.window_s must be a positive finite number, not "2"'),
+    ("analyze", brownian_cfg(analysis={"modulus": {"temperature_C": 25, "radius_nm": 50},
+                                       "force": {"enabled": "no"}}),
+     'analysis.force.enabled must be true or false, not "no"'),
+    ("analyze", brownian_cfg(analysis={"segment": {"window_steps": 75.5}}),
+     "analysis.segment.window_steps must be a non-negative whole number, not 75.5"),
+    # values a library model rejects, named by the key that sets them
+    ("simulate", brownian_cfg(D=-1.0), "medium.D_nm2_per_s: D must be finite and non-negative"),
+    ("simulate", brownian_cfg(medium={"kind": "viscoelastic", "alpha": 2.5, "K_alpha": 2e3}),
+     "medium: alpha must lie in (0, 2]"),
+    ("simulate", brownian_cfg(medium={"kind": "viscoelastic", "alpha": 0, "K_alpha": 2e3}),
+     "medium: alpha must lie in (0, 2]"),
+    ("simulate", brownian_cfg(medium={**VISCOUS_RUN, "temperature_C": 10.0}),
+     "medium.temperature_C: viscosity model invalid at T=10.0 degC"),
+    ("simulate", brownian_cfg(odmr={"enabled": True, "kappa_khz_per_C": 0}),
+     "odmr.kappa_khz_per_C: kappa must be nonzero"),
+    ("crb", brownian_cfg(odmr={"kappa_khz_per_C": 0}),
+     "odmr.kappa_khz_per_C: kappa must be nonzero"),
+    ("simulate", brownian_cfg(duration=0.004),
+     "simulate.duration_s 0.004 is under half a dt_s step"),
+    ("analyze", brownian_cfg(analysis={"segment": {"window_steps": 1}}),
+     "analysis.segment.window_steps: need at least 2 steps per window"),
+], ids=["string-D", "string-velocity", "string-flag", "crb-negative-lam0", "negative-lag",
+        "string-lag", "string-modulus-T", "string-psd-window", "string-force-flag",
+        "fractional-window", "negative-D", "alpha-above-2", "alpha-0", "viscosity-below-0",
+        "kappa-0", "crb-kappa-0", "no-step", "one-step-window"])
+def test_bad_value_exits_1_naming_its_key_before_writing(tmp_path, capsys, monkeypatch,
+                                                         cmd, cfg, message):
+    def draw(*args, **kwargs):
+        raise AssertionError("a draw ran before the config was checked")
+
+    if "kappa" in message:  # the other models reject their values inside the first draw
+        monkeypatch.setattr(media, "simulate_brownian", draw)
+        monkeypatch.setattr(odmr, "simulate_shift_series", draw)
+    path = write_config(tmp_path / "cfg.json", cfg)
+    out = tmp_path / "out"
+    argv = [cmd, "--config", path, "--out-dir", str(out)]
+    if cmd == "analyze":
+        argv += ["--traj", str(tmp_path / "never-read.csv")]
+    assert cli.main(argv) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -423,28 +610,6 @@ def test_analyze_radius_fit(tmp_path):
     r, sigma = summary["r_hydro_nm"]
     assert 3.0 < r < 300.0
     assert np.isfinite(sigma)
-
-
-VISCOUS = {"kind": "viscous", "eta0_pa_s": 0.301, "mu_pa_s_per_C": 0.0208, "T_ref_C": 35.0}
-
-
-@pytest.mark.parametrize("n_traj, temps, medium", [
-    (4, [33.0, 36.0, 39.0], VISCOUS),
-    (3, [33.0, 36.0], VISCOUS),
-    (2, [33.0, 36.0], VISCOUS),
-    (3, [33.0, 36.0, "39"], VISCOUS),
-    (3, [33.0, 36.0, 39.0], {"kind": "viscous", "eta0_pa_s": 0.301}),
-], ids=["temp-short", "traj-short-of-temps", "two-runs", "string-temp", "no-viscosity-model"])
-def test_radius_fit_config_errors_exit_1_before_writing(tmp_path, odmr_run, capsys,
-                                                        n_traj, temps, medium):
-    cfg = write_config(tmp_path / "cfg.json",
-                       {"schema_version": 1, "seed": 1, "medium": medium,
-                        "analysis": {"radius_fit": {"temps_C": temps}}})
-    out = tmp_path / "out"
-    argv = ["analyze", "--config", cfg, "--out-dir", str(out)]
-    assert cli.main(argv + ["--traj", str(odmr_run / "truth.csv")] * n_traj) == 1
-    assert "radius_fit" in capsys.readouterr().err
-    assert not out.exists()
 
 
 def test_analyze_temperature_allan(tmp_path, odmr_run):

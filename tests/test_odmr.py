@@ -229,6 +229,15 @@ def test_shift_bound_per_scan_value():
     assert bound == pytest.approx(2519714.8, rel=1e-4)
 
 
+@pytest.mark.parametrize("lam0", [0.0, -10.0])
+def test_bounds_reject_a_non_positive_photon_budget(lam0):
+    # as crb does; the bound would otherwise come out NaN
+    with pytest.raises(ValueError, match="lam0 must be positive"):
+        odmr.shift_bound_per_scan(SHAPE, lam0)
+    with pytest.raises(ValueError, match="lam0 must be positive"):
+        odmr.crb_temperature_sensitivity(SHAPE, lam0, -60.0)
+
+
 def test_scan_timing():
     gate = chip.DutyCycleSchedule()
     assert gate.scans_per_second(200) == 400
