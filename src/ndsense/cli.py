@@ -236,12 +236,15 @@ def cmd_simulate(args) -> int:
     seed = _master_seed(cfg, args)
     tr_cfg = cfg.get("tracker", {})
     od_cfg = cfg.get("odmr", {})
-    # the schedule and the calibration are built before the first draw, so a
-    # value their models reject stops the run before any simulation
+    # the schedule, the calibration and the ODMR bins are built before the first
+    # draw, so a value their models reject stops the run before any simulation
     schedule = _build_schedule(cfg["schedule"]) if "schedule" in cfg else None
     cal = _model("odmr.kappa_khz_per_C", odmr.KappaCalibration,
                  od_cfg.get("kappa_khz_per_C", odmr.DEFAULT_KAPPA_KHZ_PER_C),
                  odmr.DEFAULT_KAPPA_SIGMA_KHZ_PER_C) if od_cfg.get("enabled", False) else None
+    bin_s = od_cfg.get("bin_s", odmr.DEFAULT_BIN_S)
+    if cal is not None:
+        _model("odmr.bin_s", odmr.scans_per_bin, bin_s, odmr.default_grid().size)
 
     truth = _simulate_truth(cfg, seed)
     duration_s = cfg["simulate"]["duration_s"]
@@ -264,7 +267,6 @@ def cmd_simulate(args) -> int:
         outputs["timeline.csv"] = partial(chip.timeline_to_csv, events)
 
     if cal is not None:
-        bin_s = od_cfg.get("bin_s", odmr.DEFAULT_BIN_S)
         if schedule is not None:
             base = schedule.steps[0][1]
             bin_times, bin_temps = chip.setpoint_series(schedule, dt=bin_s,
@@ -320,13 +322,12 @@ def _read_temperature(path):
     return series
 
 
-def _allan(series, out: str):
-    """Allan deviation of a temperature series, also written to allan.csv."""
+def _allan(series):
+    """Allan deviation of a temperature series, and the writer of its allan.csv."""
     dt_s = float(np.median(np.diff(series.times)))
     taus, adev = odmr.allan_deviation(series.dT_C, dt_s)
-    write_table(os.path.join(out, "allan.csv"),
-                [("tau_s", taus, "%.6f"), ("adev_C", adev, "%.6e")])
-    return taus, adev
+    return taus, adev, partial(write_table,
+                               columns=[("tau_s", taus, "%.6f"), ("adev_C", adev, "%.6e")])
 
 
 def cmd_analyze(args) -> int:
@@ -355,15 +356,16 @@ def cmd_analyze(args) -> int:
     if args.shifts and args.setpoints:
         kappa_inputs = (_read_input(read_table, args.shifts, _SHIFT_COLUMNS)[1],
                         _read_input(read_table, args.setpoints, chip.SETPOINT_COLUMNS)[1])
-    out = _out_dir(args)
 
     summary: dict = {"n_trajectories": len(trajs)}
     traj = trajs[0]
     summary["n_points"] = int(traj.points.shape[0])
     summary["duration_s"] = round(traj.duration, 9)
 
+    # every output is computed before the first is written, so a value the
+    # models reject against the data leaves no files behind
     curve, dfit = _fit_D(traj, an)
-    curve.to_csv(os.path.join(out, "msd.csv"))
+    outputs = {"msd.csv": curve.to_csv}
     summary["D_nm2_per_s"] = [dfit.D, dfit.sigma]
     if dfit.below_floor:
         summary["D_below_noise_floor"] = True
@@ -377,24 +379,24 @@ def cmd_analyze(args) -> int:
         mcfg = an["modulus"]
         t_k = celsius_to_kelvin(_need(mcfg, "temperature_C", "analysis.modulus"))
         r_nm = _need(mcfg, "radius_nm", "analysis.modulus")
-        mod = rheology.complex_modulus(curve, t_k, r_nm)
-        mod.to_csv(os.path.join(out, "modulus.csv"))
+        mod = _model("analysis.modulus.temperature_C", rheology.complex_modulus,
+                     curve, t_k, r_nm)
+        outputs["modulus.csv"] = mod.to_csv
     if "psd" in an or force_on:
         window = an.get("psd", {}).get("window_s", rheology.DEFAULT_PSD_WINDOW_S)
-        spec = rheology.psd(traj, window_s=window)
-        spec.to_csv(os.path.join(out, "psd.csv"))
+        spec = _model("analysis.psd.window_s", rheology.psd, traj, window_s=window)
+        outputs["psd.csv"] = spec.to_csv
         summary["psd_at_40hz_nm2_per_hz"] = spec.value_at(40.0) \
             if spec.freqs.max() >= 40.0 else None
         if force_on:
             force = rheology.external_force_spectrum(spec, mod, r_nm, t_k)
-            force.to_csv(os.path.join(out, "force.csv"))
+            outputs["force.csv"] = force.to_csv
             summary["force_clipped_points"] = int(force.clipped.sum())
 
     if null is not None:
-        labels = segmentation.segment(traj, null)
+        labels = _model("analysis.segment.window_steps", segmentation.segment, traj, null)
         classes = segmentation.class_exponents(traj, labels)
-        segmentation.labels_to_csv(labels,
-                                   os.path.join(out, "labels.csv"))
+        outputs["labels.csv"] = partial(segmentation.labels_to_csv, labels)
         summary["segments"] = dict(Counter(lab.cls for lab in labels))
         summary["critical_gamma"] = null.critical_gamma
         summary["class_alpha"] = {
@@ -415,7 +417,7 @@ def cmd_analyze(args) -> int:
         summary["r_hydro_nm"] = [rfit.r_nm, rfit.sigma_nm]
 
     if temperature is not None:
-        taus, adev = _allan(temperature, out)
+        taus, adev, outputs["allan.csv"] = _allan(temperature)
         if (adev > 0).any():
             summary["sensitivity_C_per_sqrtHz"] = odmr.allan_sensitivity(taus, adev)
 
@@ -430,7 +432,10 @@ def cmd_analyze(args) -> int:
         cal = odmr.calibrate_kappa(snapped, delta_f, sigma_hz=sigma)
         summary["kappa_khz_per_C"] = [cal.kappa_khz_per_C, cal.sigma_khz_per_C]
 
-    _write_json(summary, os.path.join(out, "summary.json"))
+    outputs["summary.json"] = partial(_write_json, summary)
+    out = _out_dir(args)
+    for name, write in outputs.items():
+        write(os.path.join(out, name))
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
 
@@ -455,7 +460,8 @@ def cmd_crb(args) -> int:
 
 def cmd_allan(args) -> int:
     series = _read_temperature(args.input)
-    taus, adev = _allan(series, _out_dir(args))
+    taus, adev, write = _allan(series)
+    write(os.path.join(_out_dir(args), "allan.csv"))
     if (adev > 0).all():
         sens = odmr.allan_sensitivity(taus, adev)
         print(f"Allan sensitivity: {sens:.3f} C/sqrt(Hz)")

@@ -21,6 +21,7 @@ __all__ = [
     "DEFAULT_PHOTON_BUDGET",
     "crb",
     "crb_temperature_sensitivity",
+    "scans_per_bin",
     "shift_bound_per_scan",
     "simulate_shift_series",
 ]
@@ -156,6 +157,15 @@ class ShiftSeries:
     meta: dict = field(default_factory=dict)
 
 
+def scans_per_bin(bin_s: float, n_points: int) -> int:
+    """Sweeps of `n_points` ticks the gate completes in `bin_s`; raises if
+    not even one does."""
+    scans = int(round(bin_s * _scans_per_second(n_points)))
+    if scans < 1:
+        raise ValueError("bin shorter than one scan")
+    return scans
+
+
 def simulate_shift_series(shape: Lineshape, lam0: float, duration_s: float,
                           seed, delta_f_of_t=None, bin_s: float = DEFAULT_BIN_S, freqs=None,
                           fit_shape: Lineshape | None = None) -> ShiftSeries:
@@ -171,9 +181,7 @@ def simulate_shift_series(shape: Lineshape, lam0: float, duration_s: float,
         freqs = default_grid()
     freqs = np.asarray(freqs, dtype=float)
     rng = as_generator(seed)
-    scans_per_bin = int(round(bin_s * _scans_per_second(len(freqs))))
-    if scans_per_bin < 1:
-        raise ValueError("bin shorter than one scan")
+    scans = scans_per_bin(bin_s, freqs.size)
     n_bins = int(duration_s / bin_s)
     if n_bins < 1:
         raise ValueError("duration shorter than one bin")
@@ -188,8 +196,8 @@ def simulate_shift_series(shape: Lineshape, lam0: float, duration_s: float,
     counts = np.empty((n_bins, freqs.size), dtype=np.int64)
     for k in range(0, n_bins, _BLOCK_BINS):
         rows = slice(k, k + _BLOCK_BINS)
-        counts[rows] = rng.poisson(scans_per_bin * lam0 * shape.value(freqs, truth[rows, None]))
-    total = OdmrScan(freqs, counts.sum(axis=0), n_scans=n_bins * scans_per_bin)
+        counts[rows] = rng.poisson(scans * lam0 * shape.value(freqs, truth[rows, None]))
+    total = OdmrScan(freqs, counts.sum(axis=0), n_scans=n_bins * scans)
     if fit_shape is None:
         fit_shape = build_interpolation(total)
     fits = [fit_shifts(counts[k:k + _BLOCK_BINS], freqs, fit_shape)
@@ -202,5 +210,5 @@ def simulate_shift_series(shape: Lineshape, lam0: float, duration_s: float,
         lam0=lam_fit,
         bin_s=bin_s,
         n_excluded=int((~ok).sum()),
-        meta={"scans_per_bin": scans_per_bin, "truth": truth},
+        meta={"scans_per_bin": scans, "truth": truth},
     )

@@ -8,13 +8,13 @@ force balance.
 
 from __future__ import annotations
 
+import bisect
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import fft as _fft
-from scipy.special import gamma as _gamma_fn
 
 from ._table import read_table, write_table
 from .constants import BOLTZMANN_J_PER_K, _NM_SCALE, celsius_to_kelvin
@@ -166,14 +166,24 @@ def _default_lags(n: int) -> np.ndarray:
     return lags[lags >= 1]
 
 
+# every 2^a 3^b 5^c up to 2^40, ascending: the lengths pocketfft transforms fastest
+_FAST_LENS = sorted(q << a for q in (3 ** b * 5 ** c for b in range(26) for c in range(18))
+                    if q <= 1 << 40 for a in range(((1 << 40) // q).bit_length()))
+
+
+def _next_fast_len(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n, as scipy.fft.next_fast_len(n, real=True)."""
+    return _FAST_LENS[bisect.bisect_left(_FAST_LENS, n)]
+
+
 def _autocorr(y: np.ndarray, nfft: int) -> np.ndarray:
     """Autocorrelation sums of `y` over all offsets, as irfft(|rfft(y)|^2);
     `nfft` at least len(y) + the largest offset wanted keeps them free of
     wrap-around."""
-    spec = _fft.rfft(y, nfft)
+    spec = np.fft.rfft(y, nfft)
     power = spec.real ** 2
     power += spec.imag ** 2
-    return _fft.irfft(power, nfft)
+    return np.fft.irfft(power, nfft)
 
 
 def _prefix_sums(v: np.ndarray, hi: int) -> np.ndarray:
@@ -195,7 +205,7 @@ def _axis_msd(x: np.ndarray, lags: np.ndarray) -> np.ndarray:
     y = x - x.mean()
     slope = float(t @ y) / float(t @ t)
     y -= slope * t
-    nfft = _fft.next_fast_len(n + hi, real=True)
+    nfft = _next_fast_len(n + hi)
     s2 = _autocorr(y, nfft)[lags]
     sq = y * y
     s1 = 2.0 * sq.sum() - _prefix_sums(sq, hi)[lags] - _prefix_sums(sq[::-1], hi)[lags]
@@ -240,11 +250,11 @@ def _axis_var(x: np.ndarray, lags: np.ndarray) -> np.ndarray:
     n_half = int(np.searchsorted(lags, n // 2, side="right"))
     if n_half:
         hi = int(lags[n_half - 1])
-        nfft = _fft.next_fast_len(n + 2 * hi - 3, real=True)
+        nfft = _next_fast_len(n + 2 * hi - 3)
         r = _autocorr(np.diff(x), nfft)[:2 * hi - 1]
         r = np.concatenate((r[:0:-1], r))  # R(|o|) for o in [2 - 2 hi, 2 hi - 2]
     for i, m in enumerate(lags[:n_half].tolist()):
-        nf = _fft.next_fast_len(3 * m - 2, real=True)
+        nf = _next_fast_len(3 * m - 2)
         z = np.zeros((6, nf))
         z[0, :2 * m - 1] = m - np.abs(np.arange(1 - m, m))
         z[1, :3 * m - 2] = r[2 * hi - 1 - m:2 * hi + 2 * m - 3]
@@ -254,12 +264,12 @@ def _axis_var(x: np.ndarray, lags: np.ndarray) -> np.ndarray:
             e[:m - 1] -= y[0]
             e[m - 1:] -= y[:m - 1]
             z[row, :m - 1] = e[:m - 1]
-        f = _fft.rfft(z)
+        f = np.fft.rfft(z)
         p = f[0].conj() * f[1]
         p -= f[2].conj() * f[3]
         p -= f[4].conj() * f[5]
-        out[i] = _var_cov(_fft.irfft(p, nf)[:m], n - m)
-    nfft = _fft.next_fast_len(n - 1, real=True)  # K + lag - 1 = n - 1
+        out[i] = _var_cov(np.fft.irfft(p, nf)[:m], n - m)
+    nfft = _next_fast_len(n - 1)  # K + lag - 1 = n - 1
     for i, m in enumerate(lags[n_half:].tolist(), start=n_half):
         out[i] = _var_cov(_autocorr(x[m:] - x[:-m], nfft)[:n - m], n - m)
     return out
@@ -429,6 +439,16 @@ def anomalous_exponent(curve: MsdCurve, fit_range=None) -> ExponentFit:
     return ExponentFit(alpha=slope, sigma=sig)
 
 
+def _gamma(v: float) -> float:
+    """math.gamma, with scipy.special.gamma's values where it raises."""
+    try:
+        return math.gamma(v)
+    except OverflowError:
+        return math.copysign(math.inf, v)
+    except ValueError:  # a pole (0 or a negative integer) or -inf
+        return math.copysign(math.inf, v) if v == 0 else math.nan
+
+
 def complex_modulus(curve: MsdCurve, T_K: float, r_nm: float) -> ComplexModulus:
     """Local power-law estimate of G*(f) at f = 1/tau on the MSD grid.
 
@@ -447,7 +467,8 @@ def complex_modulus(curve: MsdCurve, T_K: float, r_nm: float) -> ComplexModulus:
     alpha = np.gradient(log_m, log_tau)
     flagged = (alpha < 0.0) | (alpha > 2.0)
     kbt = BOLTZMANN_J_PER_K * T_K
-    g_abs = kbt * _NM_SCALE / (np.pi * r_nm * curve.msd * _gamma_fn(1.0 + alpha))
+    gamma = np.array([_gamma(1.0 + a) for a in alpha.tolist()])
+    g_abs = kbt * _NM_SCALE / (np.pi * r_nm * curve.msd * gamma)
     delta = 0.5 * np.pi * alpha
     g_p = g_abs * np.cos(delta)
     g_pp = g_abs * np.sin(delta)
@@ -472,10 +493,10 @@ def _welch(x: np.ndarray, fs: float, nperseg: int):
     win = win * (1 / np.sqrt(sum(win ** 2) / (1 / fs)))
     hop = nperseg - nperseg // 2
     segs = sliding_window_view(x, nperseg)[::hop][:(x.size - nperseg // 2) // hop]
-    spec = _fft.rfft((segs - segs.mean(axis=1, keepdims=True)) * win, axis=1)
+    spec = np.fft.rfft((segs - segs.mean(axis=1, keepdims=True)) * win, axis=1)
     power = spec.real ** 2 + spec.imag ** 2
     power[:, 1:-1 if nperseg % 2 == 0 else None] *= 2
-    return _fft.rfftfreq(nperseg, 1 / fs), np.ascontiguousarray(power.T).mean(axis=1)
+    return np.fft.rfftfreq(nperseg, 1 / fs), np.ascontiguousarray(power.T).mean(axis=1)
 
 
 def psd(traj: Trajectory, axes: str = "xy",

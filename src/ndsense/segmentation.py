@@ -9,13 +9,12 @@ anomalous exponents summarized per motion class.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import gamma as _gamma_fn
-from scipy.special import nctdtrit as _nct_ppf
 
 from . import rheology
 from ._table import read_table, write_table
@@ -79,6 +78,75 @@ class GammaNull:
         return np.interp(g, self.gammas, self.pdf, left=0.0, right=0.0)
 
 
+@cache
+def _gauss_legendre(n: int) -> tuple:
+    """Gauss-Legendre nodes and weights on [-1, 1], by Newton's method on P_n."""
+    x = np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
+    for _ in range(4):
+        p0, p1 = np.ones(n), x
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        dp = n * (x * p1 - p0) / (x * x - 1.0)
+        x = x - p1 / dp
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
+
+
+_erfc = np.vectorize(math.erfc, otypes=[float])
+
+
+def _nct_cdf(t: float, df: int, nc: float) -> float:
+    """P(T <= t) for the non-central t T = (Z + nc) / (X / sqrt(df)), with Z
+    standard normal and X chi-distributed with df = 1, 2 or 3, by 96-point
+    Gauss-Legendre over whichever of Z and X the integrand is smoother in."""
+    x, w = _gauss_legendre(96)
+    r = math.sqrt(df)
+    c = 2.0 ** (1.0 - 0.5 * df) / math.gamma(0.5 * df)  # X has pdf c s^(df-1) exp(-s^2/2)
+    if t >= r:
+        # P(Z + nc <= 0) plus the integral over u = Z + nc > 0 of P(X >= r u / t),
+        # which changes on a scale t / r >= 1 of the normal's
+        lo = max(0.0, nc - 12.0)
+        half = 0.5 * (nc + 12.0 - lo)
+        u = half * (x + 1.0) + lo
+        s = r / t * u
+        sf = c * s ** (df - 2) * np.exp(-0.5 * s * s) if df > 1 else 0.0
+        if df % 2:
+            sf = sf + _erfc(s / math.sqrt(2.0))
+        g = np.exp(-0.5 * (u - nc) ** 2) * sf
+        return 0.5 * math.erfc(nc / math.sqrt(2.0)) + half / math.sqrt(2.0 * math.pi) * float(w @ g)
+    # the integral over X = s of P(Z <= t s / r - nc), which changes on a scale
+    # r / |t|; below t = -r the range shrinks with that scale
+    half = 6.0 * r / max(r, -t)
+    s = half * (x + 1.0)
+    g = c * s ** (df - 1) * np.exp(-0.5 * s * s) * _erfc((nc - t / r * s) / math.sqrt(2.0))
+    return 0.5 * half * float(w @ g)
+
+
+def _nct_ppf(p: float, df: int, nc: float) -> float:
+    """The t with P(T <= t) = p for the non-central t of `_nct_cdf`, by the
+    Illinois variant of regula falsi to the last representable step."""
+    def f(t):
+        return _nct_cdf(t, df, nc) - p
+
+    a, fa = 0.0, f(0.0)
+    b = -math.copysign(max(nc, 1.0), fa)  # towards the root from 0
+    fb = f(b)
+    while fa * fb > 0:  # double outwards until the root is bracketed
+        if math.isinf(b):  # p is 0 or 1 to within the CDF's rounding
+            return b
+        a, fa, b = b, fb, 2.0 * b
+        fb = f(b)
+    while True:
+        t = (a * fb - b * fa) / (fb - fa)
+        if not min(a, b) < t < max(a, b):
+            return a if abs(fa) < abs(fb) else b
+        ft = f(t)
+        if ft * fb < 0:
+            a, fa = b, fb
+        else:  # the end kept twice in a row has its value halved
+            fa *= 0.5
+        b, fb = t, ft
+
+
 def gamma_null(N: int, M: int = DEFAULT_DIMS,
                confidence: float = DEFAULT_CONFIDENCE) -> GammaNull:
     """Null distribution of gamma over N-step Brownian windows in M dims.
@@ -95,12 +163,12 @@ def gamma_null(N: int, M: int = DEFAULT_DIMS,
         raise ValueError("M must be 1, 2 or 3")
     if not 0 < confidence < 1:
         raise ValueError("confidence must lie in (0, 1)")
-    mu = np.sqrt(2.0) * _gamma_fn(0.5 * (M + 1)) / _gamma_fn(0.5 * M)
+    mu = np.sqrt(2.0) * math.gamma(0.5 * (M + 1)) / math.gamma(0.5 * M)
     sigma = np.sqrt(M - mu * mu)
     nc = np.sqrt(N) * mu / sigma
 
     # large gamma corresponds to the lower tail of eta
-    eta_c = float(_nct_ppf(M, nc, 1.0 - confidence))
+    eta_c = _nct_ppf(1.0 - confidence, M, float(nc))
     crit = float(np.sqrt(M) / (sigma * eta_c))
     return GammaNull(N=N, M=M, confidence=confidence, mu_chi=float(mu),
                      sigma_chi=float(sigma), critical_gamma=crit)

@@ -728,6 +728,42 @@ def test_segment_window_that_cannot_flag_exits_1(tmp_path, capsys):
             assert (out / "labels.csv").exists()
 
 
+@pytest.mark.parametrize("analysis, message", [
+    ({"psd": {"window_s": 100.0}},
+     "analysis.psd.window_s: window longer than the trajectory"),
+    ({"modulus": {"temperature_C": -300.0, "radius_nm": 50.0}},
+     "analysis.modulus.temperature_C: temperature and radius must be positive"),
+    ({"segment": {"window_steps": 5000}},
+     "analysis.segment.window_steps: trajectory shorter than one window"),
+], ids=["psd-window", "modulus-temperature", "segment-window"])
+def test_value_the_data_rejects_exits_1_before_writing(tmp_path, capsys, analysis, message):
+    # each value is valid on its own and fails only against the 2 s trajectory,
+    # after msd.csv could have been written
+    sim = tmp_path / "sim"
+    assert cli.main(["simulate", "--config", write_config(tmp_path / "sim.json", brownian_cfg()),
+                     "--out-dir", str(sim)]) == 0
+    cfg = write_config(tmp_path / "cfg.json", brownian_cfg(analysis=analysis))
+    out = tmp_path / "out"
+    assert cli.main(["analyze", "--config", cfg, "--traj", str(sim / "truth.csv"),
+                     "--out-dir", str(out)]) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_odmr_bin_shorter_than_one_scan_exits_1_before_any_draw(tmp_path, capsys, monkeypatch):
+    def draw(*args, **kwargs):
+        raise AssertionError("a draw ran before the config was checked")
+
+    monkeypatch.setattr(media, "simulate_brownian", draw)
+    monkeypatch.setattr(odmr, "simulate_shift_series", draw)
+    cfg = write_config(tmp_path / "cfg.json", brownian_cfg(
+        odmr={"enabled": True, "lam0": 10.0, "kappa_khz_per_C": -60.0, "bin_s": 1e-9}))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", cfg, "--out-dir", str(out)]) == 1
+    assert "config error: odmr.bin_s: bin shorter than one scan" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_short_temperature_series_exits_1_before_writing(tmp_path, odmr_run, capsys):
     cfg = write_config(tmp_path / "cfg.json",
                        {"schema_version": 1, "seed": 1, "analysis": {"psd": {}}})

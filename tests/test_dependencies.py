@@ -1,15 +1,61 @@
-"""The package's runtime imports: the standard library, numpy and scipy only."""
+"""The package's runtime imports: the standard library, numpy and scipy only.
+
+No scipy module loads on the way through `import ndsense.cli`, `simulate`
+and `analyze`: the FFTs are numpy's, Gamma is `math.gamma` and the
+directionality null's critical value comes from the package's own
+non-central t quantile. Only `gamma-null` imports `scipy.stats`, for the pdf.
+"""
 
 import ast
+import json
 import os
 import pathlib
 import subprocess
 import sys
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "ndsense"
-# scipy subpackages that only single functions use, kept off the start-up path
-DEFERRED = ("scipy.signal", "scipy.stats", "scipy.optimize")
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "scipy", "ndsense"}
+
+# (config, analyze inputs) of one small run of each kind the CLI does: the
+# tracker, the rheology analyses (modulus, PSD, force, segmentation) and the
+# ODMR staircase with its temperature, shift and setpoint inputs
+_RUNS = [
+    ({"schema_version": 1, "seed": 7, "medium": {"kind": "brownian", "D_nm2_per_s": 1e3},
+      "simulate": {"duration_s": 1.0},
+      "tracker": {"enabled": True, "brightness_cps": 2e6}},
+     ["--traj", "estimate.csv"]),
+    ({"schema_version": 1, "seed": 5, "medium": {"kind": "brownian", "D_nm2_per_s": 1e4},
+      "simulate": {"duration_s": 20.0, "dt_s": 0.01},
+      "analysis": {"modulus": {"temperature_C": 25.0, "radius_nm": 50.0},
+                   "psd": {"window_s": 2.0}, "force": {"enabled": True}, "segment": {}}},
+     ["--traj", "truth.csv"]),
+    ({"schema_version": 1, "seed": 3, "medium": {"kind": "brownian", "D_nm2_per_s": 1e3},
+      "simulate": {"duration_s": 8.0, "dt_s": 0.1},
+      "schedule": {"kind": "staircase", "start_C": 24.0, "step_C": 4.0, "dwell_s": 2.0,
+                   "n_levels": 4},
+      "odmr": {"enabled": True, "lam0": 10.0, "kappa_khz_per_C": -60.0, "bin_s": 0.4}},
+     ["--traj", "truth.csv", "--temperature", "temperature.csv", "--shifts", "shifts.csv",
+      "--setpoints", "setpoints.csv"]),
+]
+# runs each of _RUNS through cli.main in one fresh interpreter, then prints the
+# scipy modules loaded
+_SCRIPT = """
+import json, os, sys
+import ndsense.cli as cli
+cli.build_parser()
+root = sys.argv[1]
+with open(os.path.join(root, "runs.json")) as fh:
+    runs = json.load(fh)
+for i, (cfg, inputs) in enumerate(runs):
+    run, path = os.path.join(root, str(i)), os.path.join(root, f"{i}.json")
+    with open(path, "w") as fh:
+        json.dump(cfg, fh)
+    assert cli.main(["simulate", "--config", path, "--out-dir", run]) == 0
+    inputs = [a if a.startswith("--") else os.path.join(run, a) for a in inputs]
+    assert cli.main(["analyze", "--config", path, "--out-dir", os.path.join(run, "analyze"),
+                     *inputs]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
 
 
 def test_imports_are_stdlib_numpy_scipy_or_ndsense():
@@ -29,12 +75,14 @@ def test_imports_are_stdlib_numpy_scipy_or_ndsense():
     assert not foreign
 
 
-def test_cli_starts_without_deferred_scipy_modules():
-    code = ("import sys, ndsense.cli; ndsense.cli.build_parser(); "
-            f"print(sorted(m for m in {DEFERRED!r} if m in sys.modules))")
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+def test_cli_simulates_and_analyzes_without_scipy(tmp_path):
+    (tmp_path / "runs.json").write_text(json.dumps(_RUNS))
+    done = subprocess.run([sys.executable, "-W", "error", "-c", _SCRIPT, str(tmp_path)],
+                          capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(SRC.parent)), check=True)
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "1" / "analyze" / "labels.csv").exists()
+    assert (tmp_path / "2" / "analyze" / "allan.csv").exists()
 
 
 def test_package_and_simulation_layers_import_without_scipy():

@@ -68,7 +68,7 @@ GOLDEN = {
         "shifts.csv":
             "1c56bfe925e1a10e4385e7d2618dc187d72f7209c9ae36d73e022281fb05a10a",
         "summary.json":
-            "9e37fa4a53a2987d0c27729e29b294b8c724a3f5af886ef9f289fc474c1dc059",
+            "4b23b5383ce43311d532ecff0b88b348b2dba2251c4366092523d44c2233b107",
         "temperature.csv":
             "006a8e38fbb113c4d9dca1270e1e26ff809e749550ba9948f3adca99608b2caa",
         "timeline.csv":
@@ -92,7 +92,7 @@ GOLDEN = {
         "shifts.csv":
             "35f87d51815f530b41a146674050cb4b867bf0e0c515ba4882932d0a3174f14a",
         "summary.json":
-            "d4022cc8f01f384971c4b83a439a240693f422f3c111c8d5d45d42d5f19e3ca9",
+            "906217761deb14c95e6d0f97fbb851d56f9a8e9d6c0ac7614b30c7df58bb09aa",
         "temperature.csv":
             "2001f8654dd478b84a6d70d1bd2e5ced333d36c0521e73330082a87286727c41",
         "timeline.csv":
@@ -108,7 +108,7 @@ GOLDEN = {
         "gamma_null.csv":
             "189cb46024b16940826f0e27a38595c99724856403763b068211e3f3c2d047da",
         "gamma_null.json":
-            "1e34d97490d742fc37130685683ec5a956492c5c987f4003b6c10d434acf7a1f",
+            "1d2709e85c7384385fbd4f4b78bc3b2e6e3e499c41e996e5d3285b601094cd17",
     },
 }
 

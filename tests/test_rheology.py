@@ -9,7 +9,7 @@ from scipy.signal import welch
 from scipy.special import gamma as gamma_fn
 
 from ndsense import media, rheology
-from ndsense.constants import BOLTZMANN_J_PER_K
+from ndsense.constants import _NM_SCALE, BOLTZMANN_J_PER_K
 from ndsense.seeding import substream
 from ndsense.trajectory import Trajectory
 
@@ -319,6 +319,36 @@ def test_complex_modulus_flags_unphysical_slope():
     mod = rheology.complex_modulus(curve, 300.0, 28.0)
     assert mod.flagged.all()
     assert mod.alpha_local[5] == pytest.approx(-1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("alpha", [-1.0, -2.0, 171.0, np.nan])
+def test_modulus_gamma_equals_scipy_at_poles_and_overflow(alpha):
+    # Gamma(0) = inf, a negative integer gives NaN, Gamma(172) overflows to inf
+    np.testing.assert_array_equal(rheology._gamma(1.0 + alpha), gamma_fn(1.0 + alpha))
+
+
+def test_complex_modulus_gamma_matches_scipy():
+    rng = np.random.default_rng(11)
+    alpha = rng.uniform(-0.99, 2.0, 20000)
+    alpha[-1] = 2.0
+    ours = np.array([rheology._gamma(1.0 + a) for a in alpha.tolist()])
+    np.testing.assert_allclose(ours, gamma_fn(1.0 + alpha), rtol=2e-15, atol=0)
+    # and complex_modulus divides by it at each lag's local slope
+    taus = np.logspace(-2, 1, 40)
+    curve = rheology.MsdCurve(taus=taus, msd=np.exp(rng.uniform(5, 6, 40)) * taus,
+                              var=np.zeros(40), dims="xy", n_samples=np.full(40, 100),
+                              dt=taus[0])
+    mod = rheology.complex_modulus(curve, 300.0, 28.0)
+    scale = BOLTZMANN_J_PER_K * 300.0 * _NM_SCALE / (np.pi * 28.0)
+    want = scale / (curve.msd * gamma_fn(1.0 + np.gradient(np.log(curve.msd), np.log(taus))))
+    np.testing.assert_allclose(mod.G_abs, want[::-1], rtol=4e-15, atol=0)
+
+
+def test_next_fast_len_equals_scipy():
+    from scipy.fft import next_fast_len
+
+    assert [rheology._next_fast_len(n) for n in range(1, 70001)] == [
+        next_fast_len(n, real=True) for n in range(1, 70001)]
 
 
 def test_complex_modulus_validation():

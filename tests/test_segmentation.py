@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gamma as gamma_fn
+from scipy.special import nctdtrit
 from scipy.stats import chi as chi_dist
 from scipy.stats import nct
 
@@ -57,7 +58,51 @@ def test_null_critical_value_equals_nct_ppf(N, M, confidence):
     sigma = np.sqrt(M - mu * mu)
     eta_c = float(nct(df=M, nc=np.sqrt(N) * mu / sigma).ppf(1.0 - confidence))
     want = float(np.sqrt(M) / (sigma * eta_c))
-    assert segmentation.gamma_null(N, M, confidence).critical_gamma == want
+    # the package's own quantile cannot reproduce scipy's last-bit rounding
+    assert segmentation.gamma_null(N, M, confidence).critical_gamma == pytest.approx(
+        want, rel=1e-12)
+
+
+_NCT_N = sorted({*range(2, 21), *np.geomspace(2, 1e5, 40).astype(int).tolist()})
+_NCT_CONFIDENCE = (0.5, 0.6, 0.75, 0.9, 0.95, 0.975, 0.99, 0.995, 0.999, 0.9995, 0.9999)
+# nctdtrit's own error at N = 5, M = 1, 99.99% is 1.0e-12 (against a 25-digit
+# mpmath quantile of the same integrals, to which the package's is within 6e-16)
+_NCTDTRIT_OFF = {(1, 5, 0.9999): 1.1e-12}
+
+
+@pytest.mark.parametrize("M", [1, 2, 3])
+def test_nct_quantile_matches_nctdtrit(M):
+    mu = np.sqrt(2.0) * gamma_fn(0.5 * (M + 1)) / gamma_fn(0.5 * M)
+    sigma = np.sqrt(M - mu * mu)
+    off, negative = [], 0
+    for N in _NCT_N:
+        nc = float(np.sqrt(N) * mu / sigma)
+        for confidence in _NCT_CONFIDENCE:
+            want = float(nctdtrit(M, nc, 1.0 - confidence))
+            got = segmentation._nct_ppf(1.0 - confidence, M, nc)
+            negative += want < 0
+            if abs(got - want) > _NCTDTRIT_OFF.get((M, N, confidence), 1e-12) * abs(want):
+                off.append((N, confidence, got, want))
+    assert not off
+    assert negative  # short windows at high confidence have a negative quantile
+
+
+def test_null_with_negative_quantile():
+    # the lower 0.1% of eta lies below 0 for a 2-step window in 2 dims, so the
+    # critical gamma is negative: a threshold that flags every window
+    null = segmentation.gamma_null(2, 2, 0.999)
+    nc = np.sqrt(2) * null.mu_chi / null.sigma_chi
+    eta_c = float(nctdtrit(2, nc, 0.001))
+    assert eta_c == pytest.approx(-0.52, abs=0.01)
+    assert null.critical_gamma == pytest.approx(np.sqrt(2) / (null.sigma_chi * eta_c),
+                                                rel=1e-12)
+    assert null.critical_gamma == pytest.approx(-4.14, abs=0.01)
+
+
+def test_null_at_a_confidence_that_rounds_p_to_one():
+    # 1 - 1e-20 is 1.0: the quantile is +inf, as nctdtrit gives, and the
+    # critical gamma 0
+    assert segmentation.gamma_null(75, 2, 1e-20).critical_gamma == 0.0
 
 
 def test_null_pdf_check_raises_on_read():
