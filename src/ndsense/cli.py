@@ -245,6 +245,8 @@ def cmd_simulate(args) -> int:
     bin_s = od_cfg.get("bin_s", odmr.DEFAULT_BIN_S)
     if cal is not None:
         _model("odmr.bin_s", odmr.scans_per_bin, bin_s, odmr.default_grid().size)
+        _model("simulate.duration_s", odmr.bin_count,
+               _need(_need(cfg, "simulate", "config"), "duration_s", "simulate"), bin_s)
 
     truth = _simulate_truth(cfg, seed)
     duration_s = cfg["simulate"]["duration_s"]

@@ -111,6 +111,9 @@ _XATOL_HZ = 1.0
 _MAX_EVALS = 500
 _SQRT_EPS = math.sqrt(2.2e-16)
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+# Rows per chunk of the shift fit's objective and covariance stage, and of
+# the draws that feed it: bounds their (rows, n_points) working arrays.
+_CHUNK_ROWS = 128
 
 
 def _rowdot(a, b):
@@ -226,12 +229,15 @@ def fit_shifts(counts, freqs, shape: Lineshape, max_shift: float | None = None):
     over delta_f in [-max_shift, max_shift] (default: half the grid span),
     run for all rows at once. Each row's result is bit-identical to a
     scalar fit by scipy's `minimize_scalar(method="bounded")` with a
-    1 Hz tolerance. Working memory grows with the number of rows.
+    1 Hz tolerance. The objective and the covariance stage take the rows
+    `_CHUNK_ROWS` at a time, so beyond a float64 copy of integer `counts`
+    the working memory is a few (n_bins,) vectors plus a few
+    (`_CHUNK_ROWS`, n_points) arrays, whatever the number of rows.
 
     Parameters
     ----------
     counts : (n_bins, n_points) array
-        Photon counts per bin and frequency point.
+        Photon counts per bin and frequency point; not modified.
     freqs : (n_points,) array
         Microwave frequency grid, Hz.
 
@@ -251,38 +257,50 @@ def fit_shifts(counts, freqs, shape: Lineshape, max_shift: float | None = None):
         max_shift = 0.5 * (freqs[-1] - freqs[0])
     if not 0.0 <= max_shift < np.inf:
         raise ValueError("max_shift must be finite and non-negative")
+    n = counts.shape[0]
 
     def sse(delta_f, lanes):
-        c = counts[lanes]
-        lv, lam0 = _levels_and_lam0(c, freqs, shape, delta_f)
-        r = c - lam0[:, None] * lv
-        return _rowdot(r, r)
+        out = np.empty(lanes.size)
+        for k in range(0, lanes.size, _CHUNK_ROWS):
+            part = slice(k, k + _CHUNK_ROWS)
+            c = counts[lanes[part]]  # a gathered copy, so the residual may overwrite it
+            lv, lam0 = _levels_and_lam0(c, freqs, shape, delta_f[part])
+            lv *= lam0[:, None]
+            c -= lv
+            out[part] = _rowdot(c, c)
+        return out
 
-    delta_f, ok = _minimize_bounded(sse, counts.shape[0], -max_shift, max_shift)
-    lv, lam0 = _levels_and_lam0(counts, freqs, shape, delta_f)
-    converged = ok & (np.abs(delta_f) < 0.999 * max_shift) & (lam0 > 0)
+    delta_f, ok = _minimize_bounded(sse, n, -max_shift, max_shift)
 
     # Gauss-Newton covariance of (lam0, delta_f) at the optimum
-    j2 = -lam0[:, None] * shape.derivative(freqs, delta_f[:, None])
-    jtj = np.empty((counts.shape[0], 2, 2))
-    jtj[:, 0, 0] = _rowdot(lv, lv)
-    jtj[:, 0, 1] = jtj[:, 1, 0] = _rowdot(lv, j2)
-    jtj[:, 1, 1] = _rowdot(j2, j2)
-    r = counts - lam0[:, None] * lv
-    s2 = _rowdot(r, r) / max(freqs.size - 2, 1)
-    singular = np.zeros(counts.shape[0], dtype=bool)
-    try:
-        inv = np.linalg.inv(jtj)
-    except np.linalg.LinAlgError:
-        # one singular matrix fails the whole stack: invert lane by lane
-        inv = np.zeros_like(jtj)
-        for k in range(jtj.shape[0]):
-            try:
-                inv[k] = np.linalg.inv(jtj[k])
-            except np.linalg.LinAlgError:
-                singular[k] = True
-    var = s2 * inv[:, 1, 1]
+    lam0 = np.empty(n)
+    var = np.empty(n)
+    singular = np.zeros(n, dtype=bool)
+    for k in range(0, n, _CHUNK_ROWS):
+        rows = slice(k, k + _CHUNK_ROWS)
+        c = counts[rows]
+        lv, a = _levels_and_lam0(c, freqs, shape, delta_f[rows])
+        j2 = -a[:, None] * shape.derivative(freqs, delta_f[rows, None])
+        jtj = np.empty((a.size, 2, 2))
+        jtj[:, 0, 0] = _rowdot(lv, lv)
+        jtj[:, 0, 1] = jtj[:, 1, 0] = _rowdot(lv, j2)
+        jtj[:, 1, 1] = _rowdot(j2, j2)
+        r = c - a[:, None] * lv
+        s2 = _rowdot(r, r) / max(freqs.size - 2, 1)
+        try:
+            inv = np.linalg.inv(jtj)
+        except np.linalg.LinAlgError:
+            # one singular matrix fails the chunk's stack: invert it row by row
+            inv = np.zeros_like(jtj)
+            for i in range(a.size):
+                try:
+                    inv[i] = np.linalg.inv(jtj[i])
+                except np.linalg.LinAlgError:
+                    singular[k + i] = True
+        lam0[rows] = a
+        var[rows] = s2 * inv[:, 1, 1]
     sigma = np.where(singular, np.inf, np.sqrt(np.where(var < 0.0, 0.0, var)))
+    converged = ok & (np.abs(delta_f) < 0.999 * max_shift) & (lam0 > 0)
     return delta_f, lam0, sigma, converged & ~singular
 
 

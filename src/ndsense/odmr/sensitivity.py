@@ -13,12 +13,13 @@ from ..chip import DutyCycleSchedule
 from ..seeding import as_generator
 from .kappa import DEFAULT_BIN_S
 from .lineshape import Lineshape, default_grid
-from .scan import OdmrScan, build_interpolation, fit_shifts
+from .scan import _CHUNK_ROWS, OdmrScan, build_interpolation, fit_shifts
 
 __all__ = [
     "CrbResult",
     "ShiftSeries",
     "DEFAULT_PHOTON_BUDGET",
+    "bin_count",
     "crb",
     "crb_temperature_sensitivity",
     "scans_per_bin",
@@ -27,10 +28,6 @@ __all__ = [
 ]
 
 DEFAULT_PHOTON_BUDGET = 10.0  # counts per 10 us sample, both detectors summed
-
-# Bins drawn and fitted per block in simulate_shift_series: bounds the
-# per-point working arrays of the draws and the batched fit.
-_BLOCK_BINS = 256
 
 
 @dataclass(frozen=True)
@@ -166,6 +163,19 @@ def scans_per_bin(bin_s: float, n_points: int) -> int:
     return scans
 
 
+def bin_count(duration_s: float, bin_s: float) -> int:
+    """Whole bins of `bin_s` in `duration_s`; raises if there is not one.
+
+    A duration of whole bins can divide to just below the integer
+    (68.8 / 0.4 = 171.99999999999997), so the quotient is given 1e-9 of
+    relative slack before it is truncated.
+    """
+    n_bins = int(duration_s / bin_s * (1.0 + 1e-9))
+    if n_bins < 1:
+        raise ValueError("duration shorter than one bin")
+    return n_bins
+
+
 def simulate_shift_series(shape: Lineshape, lam0: float, duration_s: float,
                           seed, delta_f_of_t=None, bin_s: float = DEFAULT_BIN_S, freqs=None,
                           fit_shape: Lineshape | None = None) -> ShiftSeries:
@@ -182,27 +192,24 @@ def simulate_shift_series(shape: Lineshape, lam0: float, duration_s: float,
     freqs = np.asarray(freqs, dtype=float)
     rng = as_generator(seed)
     scans = scans_per_bin(bin_s, freqs.size)
-    n_bins = int(duration_s / bin_s)
-    if n_bins < 1:
-        raise ValueError("duration shorter than one bin")
+    n_bins = bin_count(duration_s, bin_s)
 
     times = bin_s * np.arange(n_bins)
     truth = np.zeros(n_bins) if delta_f_of_t is None else \
         np.asarray(delta_f_of_t(times), dtype=float)
     if truth.shape != times.shape:
         raise ValueError("delta_f_of_t must return one shift per bin start time")
-    # Generator.poisson fills an array in C order, so a block's draw is the
-    # stream of one synthesize_scan call per bin
-    counts = np.empty((n_bins, freqs.size), dtype=np.int64)
-    for k in range(0, n_bins, _BLOCK_BINS):
-        rows = slice(k, k + _BLOCK_BINS)
+    # Generator.poisson fills an array in C order, so a chunk's draw is the
+    # stream of one synthesize_scan call per bin; counts below 2**53 are
+    # exact in float64, which fit_shifts then takes without a copy
+    counts = np.empty((n_bins, freqs.size))
+    for k in range(0, n_bins, _CHUNK_ROWS):
+        rows = slice(k, k + _CHUNK_ROWS)
         counts[rows] = rng.poisson(scans * lam0 * shape.value(freqs, truth[rows, None]))
     total = OdmrScan(freqs, counts.sum(axis=0), n_scans=n_bins * scans)
     if fit_shape is None:
         fit_shape = build_interpolation(total)
-    fits = [fit_shifts(counts[k:k + _BLOCK_BINS], freqs, fit_shape)
-            for k in range(0, n_bins, _BLOCK_BINS)]
-    delta_f, lam_fit, sigma, ok = (np.concatenate(col) for col in zip(*fits))
+    delta_f, lam_fit, sigma, ok = fit_shifts(counts, freqs, fit_shape)
     return ShiftSeries(
         times=times,
         delta_f=delta_f,

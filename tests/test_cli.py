@@ -110,7 +110,7 @@ def test_simulate_failure_writes_nothing(tmp_path, capsys):
     cfg = brownian_cfg(duration=0.3, odmr={"enabled": True})
     path = write_config(tmp_path / "cfg.json", cfg)
     out = tmp_path / "out"
-    assert cli.main(["simulate", "--config", path, "--out-dir", str(out)]) == 2
+    assert cli.main(["simulate", "--config", path, "--out-dir", str(out)]) == 1
     assert "shorter than one bin" in capsys.readouterr().err
     assert not out.exists()
 
@@ -761,6 +761,22 @@ def test_odmr_bin_shorter_than_one_scan_exits_1_before_any_draw(tmp_path, capsys
     out = tmp_path / "out"
     assert cli.main(["simulate", "--config", cfg, "--out-dir", str(out)]) == 1
     assert "config error: odmr.bin_s: bin shorter than one scan" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_odmr_duration_shorter_than_one_bin_exits_1_before_any_draw(tmp_path, capsys,
+                                                                     monkeypatch):
+    def draw(*args, **kwargs):
+        raise AssertionError("a draw ran before the config was checked")
+
+    monkeypatch.setattr(media, "simulate_brownian", draw)
+    monkeypatch.setattr(odmr, "simulate_shift_series", draw)
+    cfg = write_config(tmp_path / "cfg.json", brownian_cfg(
+        duration=0.3, odmr={"enabled": True, "bin_s": 0.4}))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", cfg, "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error: simulate.duration_s: duration shorter than one bin" in err
     assert not out.exists()
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ndsense import chip, odmr
-from ndsense.odmr.sensitivity import _BLOCK_BINS
+from ndsense.odmr.scan import _CHUNK_ROWS
 from ndsense.seeding import substream
 
 from _oracles import fisher_sigma, lorentzian_pair, naive_allan, reference_fit_shift
@@ -182,6 +182,57 @@ def test_fit_shifts_singular_lane():
     assert np.isfinite(sigma[[0, 1, 3]]).all() and converged[[0, 1, 3]].all()
 
 
+def test_fit_shifts_singular_row_inverts_one_chunk_row_by_row(monkeypatch):
+    # the dark row sits in the second chunk: only that chunk's stack fails,
+    # so the row-by-row fallback inverts at most one chunk
+    rng = np.random.default_rng(8)
+    shifts = rng.uniform(-5e6, 5e6, 2 * _CHUNK_ROWS + 9)
+    counts = rng.poisson(1600.0 * SHAPE.value(GRID, shifts[:, None]))
+    dark = _CHUNK_ROWS + 17
+    counts[dark] = 0
+    single_inverses = []
+    inv = np.linalg.inv
+
+    def counting_inv(a):
+        if np.ndim(a) == 2:
+            single_inverses.append(a)
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counting_inv)
+    got = odmr.fit_shifts(counts, GRID, SHAPE)
+    monkeypatch.undo()
+    assert len(single_inverses) == _CHUNK_ROWS
+    _assert_bits_equal(got, _fit_fields([reference_fit_shift(odmr.OdmrScan(GRID, c), SHAPE)
+                                         for c in counts]))
+    delta_f, lam0, sigma, converged = got
+    assert sigma[dark] == np.inf and not converged[dark] and lam0[dark] == 0.0
+    assert np.isfinite(np.delete(sigma, dark)).all()
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float64])
+def test_fit_shifts_across_chunks_matches_scalar_reference(dtype):
+    # two full chunks and a partial one; bright and dim rows converge at
+    # different iterations, one shift lies beyond max_shift, one row is dark
+    rng = np.random.default_rng(12)
+    n = 2 * _CHUNK_ROWS + 37
+    shifts = rng.uniform(-15e6, 15e6, n)
+    shifts[_CHUNK_ROWS - 1] = 35e6
+    level = rng.choice([2.0, 40.0, 1600.0], n)[:, None]
+    counts = rng.poisson(level * SHAPE.value(GRID, shifts[:, None])).astype(dtype)
+    counts[2 * _CHUNK_ROWS + 5] = 0
+    before = counts.copy()
+    max_shift = 20e6
+    got = odmr.fit_shifts(counts, GRID, SHAPE, max_shift)
+    np.testing.assert_array_equal(counts, before)
+    assert counts.dtype == before.dtype
+    _assert_bits_equal(got, _fit_fields([reference_fit_shift(
+        odmr.OdmrScan(GRID, c), SHAPE, max_shift) for c in counts]))
+    delta_f, lam0, sigma, converged = got
+    assert abs(delta_f[_CHUNK_ROWS - 1]) > 0.999 * max_shift
+    assert not converged[[_CHUNK_ROWS - 1, 2 * _CHUNK_ROWS + 5]].any()
+    assert converged.sum() > n - 10
+
+
 # -------------------------------------------------------------- CRB bounds
 
 def test_crb_matches_independent_fisher():
@@ -286,6 +337,17 @@ def test_simulate_shift_series_static():
     assert abs(series.delta_f.mean()) < 4 * se
 
 
+@pytest.mark.parametrize("bin_s", [0.4, 0.1, 0.37, 1.0])
+def test_bin_count_counts_whole_bins(bin_s):
+    # a duration of whole bins counts all of them, though n * bin_s / bin_s
+    # can round to just below n (172 * 0.4 / 0.4 = 171.99999999999997)
+    n = np.arange(1, 5001)
+    assert [odmr.bin_count(d, bin_s) for d in n * bin_s] == n.tolist()
+    assert [odmr.bin_count(d, bin_s) for d in (n + 0.5) * bin_s] == n.tolist()
+    with pytest.raises(ValueError, match="duration shorter than one bin"):
+        odmr.bin_count(0.999 * bin_s, bin_s)
+
+
 def test_simulate_shift_series_tracks_drift():
     step = -2e6
     drift = lambda t: step * (t >= 12.0)
@@ -302,7 +364,7 @@ def test_simulate_shift_series_tracks_drift():
 def test_block_draws_match_per_bin_scans():
     # one synthesize_scan and one scalar fit per bin, all from one generator,
     # against the block draws and batched fits; the last block is partial
-    n_bins = _BLOCK_BINS + 44
+    n_bins = _CHUNK_ROWS + 44
     drift = lambda t: -3e6 * np.sin(0.05 * t)
     series = odmr.simulate_shift_series(SHAPE, 10.0, 0.4 * n_bins,
                                         substream(17, "odmr-photons"),
@@ -312,7 +374,7 @@ def test_block_draws_match_per_bin_scans():
              for t in 0.4 * np.arange(n_bins)]
     table = odmr.build_interpolation(scans)
     fits = [reference_fit_shift(s, table) for s in scans]
-    assert series.times.size == n_bins and n_bins % _BLOCK_BINS
+    assert series.times.size == n_bins and n_bins % _CHUNK_ROWS
     delta_f, lam0, sigma, converged = _fit_fields(fits)
     _assert_bits_equal((series.delta_f, series.lam0, series.sigma), (delta_f, lam0, sigma))
     assert series.n_excluded == (~converged).sum()
