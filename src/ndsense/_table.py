@@ -63,11 +63,10 @@ def _rows(path):
                 yield lineno, line.rstrip("\n")
 
 
-def read_table(path, names, text=()):
+def read_table(path, names):
     """Return ``(meta, columns)`` of a table with header ``names``: metadata
-    as strings, then a float array per column, or a list of strings for the
-    names in ``text``. Errors name the path and line."""
-    dtype = [(name, object if name in text else float) for name in names]
+    as strings, then a float array per column. Errors name the path and line."""
+    dtype = [(name, float) for name in names]
     with open(path) as fh:
         meta = _head(fh, path, ",".join(names))[0]
         try:
@@ -92,4 +91,4 @@ def read_table(path, names, text=()):
             raise ValueError(f"{path}: line {lineno}: {why}") from None
     if not table.size:
         raise ValueError(f"{path}: no data rows")
-    return meta, [table[name].tolist() if name in text else table[name] for name in names]
+    return meta, [table[name] for name in names]

@@ -28,12 +28,10 @@ __all__ = [
     "timeline_to_csv",
     "setpoints_to_csv",
     "DEFAULT_ETA_PER_C",
-    "DEFAULT_ETA_SIGMA_PER_C",
     "CLOCK_S",
 ]
 
 DEFAULT_ETA_PER_C = 2.44e-3
-DEFAULT_ETA_SIGMA_PER_C = 0.12e-3
 CLOCK_S = 1e-5  # global synchronization clock period
 SETPOINT_COLUMNS = ("t_s", "T_C")  # header of setpoints_to_csv
 
@@ -56,23 +54,13 @@ class RtdCalibration:
             raise ValueError("eta must be positive")
 
 
-def rtd_temperature(R: float, cal: RtdCalibration, with_sigma: bool = False):
-    """Temperature (C) from an RTD resistance: T = T0 + (R/R0 - 1)/eta.
-
-    With `with_sigma` the eta calibration uncertainty
-    (`DEFAULT_ETA_SIGMA_PER_C`) is propagated and (T, sigma_T) is returned.
-    """
+def rtd_temperature(R: float, cal: RtdCalibration):
+    """Temperature (C) from an RTD resistance: T = T0 + (R/R0 - 1)/eta."""
     R = np.asarray(R, dtype=float)
     if (R <= 0).any():
         raise ValueError("resistance must be positive")
-    ratio = R / cal.R0 - 1.0
-    t = cal.T0 + ratio / cal.eta
-    t = float(t) if t.ndim == 0 else t
-    if not with_sigma:
-        return t
-    sigma = np.abs(ratio) * DEFAULT_ETA_SIGMA_PER_C / cal.eta ** 2
-    sigma = float(sigma) if np.ndim(sigma) == 0 else sigma
-    return t, sigma
+    t = cal.T0 + (R / cal.R0 - 1.0) / cal.eta
+    return float(t) if t.ndim == 0 else t
 
 
 def rtd_resistance(T: float, cal: RtdCalibration):

@@ -37,9 +37,9 @@ _TABLE_MAX_LEVEL = 1.05
 class Lineshape:
     """Normalized PL level versus microwave frequency.
 
-    Three kinds: "double_lorentzian" (asymmetric strain-split pair),
-    "single_lorentzian", and "interpolation" (piecewise-linear table
-    extending as L = 1 beyond its endpoints).
+    Two kinds: "double_lorentzian" (asymmetric strain-split pair) and
+    "interpolation" (piecewise-linear table extending as L = 1 beyond its
+    endpoints).
     """
 
     kind: str
@@ -50,10 +50,9 @@ class Lineshape:
     table_L: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.kind in ("double_lorentzian", "single_lorentzian"):
-            n = 2 if self.kind == "double_lorentzian" else 1
-            if not (len(self.centers) == len(self.contrasts) == len(self.hwhms) == n):
-                raise ValueError(f"{self.kind} needs {n} center/contrast/hwhm each")
+        if self.kind == "double_lorentzian":
+            if not (len(self.centers) == len(self.contrasts) == len(self.hwhms) == 2):
+                raise ValueError("double_lorentzian needs 2 center/contrast/hwhm each")
             if any(c <= 0 for c in self.contrasts) or sum(self.contrasts) >= 1:
                 raise ValueError("contrasts must be positive and sum below 1")
             if any(g <= 0 for g in self.hwhms):
@@ -81,12 +80,6 @@ class Lineshape:
         c2 = center + 0.5 * splitting
         return cls(kind="double_lorentzian", centers=(c1, c2),
                    contrasts=tuple(contrasts), hwhms=tuple(hwhms))
-
-    @classmethod
-    def single(cls, center: float = DEFAULT_CENTER_HZ, contrast: float = 0.23,
-               hwhm: float = 7.4e6) -> "Lineshape":
-        return cls(kind="single_lorentzian", centers=(center,),
-                   contrasts=(contrast,), hwhms=(hwhm,))
 
     @classmethod
     def from_table(cls, freqs, levels) -> "Lineshape":

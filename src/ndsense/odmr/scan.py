@@ -1,9 +1,8 @@
-"""ODMR scan synthesis, accumulation, and the two-parameter shift fit."""
+"""ODMR count synthesis, the interpolation table, and the two-parameter shift fit."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -11,92 +10,40 @@ from ..seeding import as_generator
 from .lineshape import _TABLE_MAX_LEVEL, Lineshape, default_grid
 
 __all__ = [
-    "OdmrScan",
-    "FitShiftResult",
     "synthesize_scan",
     "build_interpolation",
-    "fit_shift",
     "fit_shifts",
 ]
 
 
-@dataclass
-class OdmrScan:
-    """Photon counts per frequency point of one (possibly accumulated) scan.
-
-    `n_scans` counts how many raw 2 ms sweeps were summed; counts are per
-    sample, so the expected level is n_scans * Lambda0 * L(f).
-    """
-
-    freqs: np.ndarray
-    counts: np.ndarray
-    n_scans: int = 1
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.freqs = np.asarray(self.freqs, dtype=float)
-        self.counts = np.asarray(self.counts)
-        if self.freqs.shape != self.counts.shape or self.freqs.ndim != 1:
-            raise ValueError("freqs and counts must be matching 1-D arrays")
-        if (self.counts < 0).any():
-            raise ValueError("counts must be non-negative")
-        df = np.diff(self.freqs)
-        if df.size and (np.abs(df - df[0]) > 1e-3 * abs(df[0])).any():
-            raise ValueError("frequency grid must be uniform")
-        if self.n_scans < 1:
-            raise ValueError("n_scans must be >= 1")
-
-
-@dataclass(frozen=True)
-class FitShiftResult:
-    lam0: float          # fitted amplitude, counts per sample in this scan
-    delta_f: float       # Hz
-    sigma_delta_f: float # Hz, from the fit covariance
-    converged: bool
-
-
-def synthesize_scan(shape: Lineshape, lam0: float, delta_f: float, seed,
-                    freqs=None, n_scans: int = 1) -> OdmrScan:
-    """Draw one Poisson scan: counts_i ~ Poisson(n_scans*lam0*L(f_i - delta_f)).
+def synthesize_scan(shape: Lineshape, lam0: float, delta_f, seed,
+                    freqs=None, n_scans: int = 1) -> np.ndarray:
+    """Draw Poisson counts_i ~ Poisson(n_scans*lam0*L(f_i - delta_f)).
 
     Accumulating `n_scans` sweeps at once is exact because sums of
-    independent Poisson counts are Poisson.
+    independent Poisson counts are Poisson. A scalar shift gives one
+    (n_points,) scan; a (k, 1) column of shifts gives (k, n_points), whose
+    rows are the draws of k one-shift calls on the same generator, since
+    the generator fills an array in C order.
     """
     if lam0 <= 0:
         raise ValueError("lam0 must be positive")
     if freqs is None:
         freqs = default_grid()
     freqs = np.asarray(freqs, dtype=float)
-    rng = as_generator(seed)
-    lam = n_scans * lam0 * shape.value(freqs, delta_f)
-    counts = rng.poisson(lam)
-    meta = {}
-    span = freqs[-1] - freqs[0]
-    if abs(delta_f) > 0.5 * span:
-        meta["shift_outside_grid"] = True  # fit on this scan will be biased
-    return OdmrScan(freqs=freqs, counts=counts, n_scans=n_scans, meta=meta)
+    return as_generator(seed).poisson(n_scans * lam0 * shape.value(freqs, delta_f))
 
 
-def build_interpolation(scans) -> Lineshape:
-    """Average scans into a normalized interpolation-table lineshape.
+def build_interpolation(freqs, total_counts, n_scans: int) -> Lineshape:
+    """Normalized interpolation-table lineshape from the counts of `n_scans`
+    sweeps summed per frequency point.
 
     The off-resonance plateau is taken as the median of the top decile of
     mean levels and divides the table so it tends to 1 off resonance.
     """
-    if isinstance(scans, OdmrScan):
-        scans = [scans]
-    scans = list(scans)
-    if not scans:
-        raise ValueError("no scans to accumulate")
-    freqs = scans[0].freqs
-    total = np.zeros_like(freqs)
-    weight = 0
-    for s in scans:
-        if not np.array_equal(s.freqs, freqs):
-            raise ValueError("scans must share one frequency grid")
-        total = total + s.counts
-        weight += s.n_scans
-    mean = total / weight
+    if n_scans < 1:
+        raise ValueError("n_scans must be >= 1")
+    mean = np.asarray(total_counts) / n_scans
     if (mean <= 0).any():
         raise ValueError("mean counts must be positive at every point")
     top = np.sort(mean)[-max(mean.size // 10, 1):]
@@ -302,12 +249,3 @@ def fit_shifts(counts, freqs, shape: Lineshape, max_shift: float | None = None):
     sigma = np.where(singular, np.inf, np.sqrt(np.where(var < 0.0, 0.0, var)))
     converged = ok & (np.abs(delta_f) < 0.999 * max_shift) & (lam0 > 0)
     return delta_f, lam0, sigma, converged & ~singular
-
-
-def fit_shift(scan: OdmrScan, shape: Lineshape,
-              max_shift: float | None = None) -> FitShiftResult:
-    """`fit_shifts` on one scan."""
-    delta_f, lam0, sigma, converged = fit_shifts(scan.counts[None, :], scan.freqs,
-                                                 shape, max_shift)
-    return FitShiftResult(lam0=float(lam0[0]), delta_f=float(delta_f[0]),
-                          sigma_delta_f=float(sigma[0]), converged=bool(converged[0]))

@@ -4,8 +4,7 @@ synthetic thermometry pipeline (scan stream -> shift fits -> temperature).
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -13,14 +12,12 @@ from ..chip import DutyCycleSchedule
 from ..seeding import as_generator
 from .kappa import DEFAULT_BIN_S
 from .lineshape import Lineshape, default_grid
-from .scan import _CHUNK_ROWS, OdmrScan, build_interpolation, fit_shifts
+from .scan import _CHUNK_ROWS, build_interpolation, fit_shifts, synthesize_scan
 
 __all__ = [
-    "CrbResult",
     "ShiftSeries",
     "DEFAULT_PHOTON_BUDGET",
     "bin_count",
-    "crb",
     "crb_temperature_sensitivity",
     "scans_per_bin",
     "shift_bound_per_scan",
@@ -28,72 +25,6 @@ __all__ = [
 ]
 
 DEFAULT_PHOTON_BUDGET = 10.0  # counts per 10 us sample, both detectors summed
-
-
-@dataclass(frozen=True)
-class CrbResult:
-    params: tuple
-    matrix: np.ndarray  # covariance lower bound for one scan
-
-    def sigma(self, name: str) -> float:
-        i = self.params.index(name)
-        return float(np.sqrt(self.matrix[i, i]))
-
-
-def _param_slot(name: str, n_dips: int) -> tuple:
-    """(Lineshape field, index) of a shape parameter such as 'center2' or
-    'hwhm'; a name without an index means the first dip."""
-    m = re.fullmatch(r"(center|contrast|hwhm)([1-9][0-9]*)?", name)
-    if m is None or int(m[2] or 1) > n_dips:
-        raise ValueError(f"unknown parameter: {name}")
-    return m[1] + "s", int(m[2] or 1) - 1
-
-
-def crb(shape: Lineshape, lam0: float, freqs=None,
-        params=("lam0", "delta_f")) -> CrbResult:
-    """Cramer-Rao covariance lower bound for one Poisson scan.
-
-    The Fisher matrix is F_jk = sum_i (dmu_i/dtheta_j)(dmu_i/dtheta_k)/mu_i
-    for mu_i = lam0 * L(f_i); lam0 and delta_f derivatives are analytic,
-    shape parameters use central differences.
-    """
-    if lam0 <= 0:
-        raise ValueError("lam0 must be positive")
-    if freqs is None:
-        freqs = default_grid()
-    freqs = np.asarray(freqs, dtype=float)
-    mu = lam0 * shape.value(freqs)
-    cols = []
-    for name in params:
-        if name == "lam0":
-            cols.append(shape.value(freqs))
-        elif name == "delta_f":
-            cols.append(-lam0 * shape.derivative(freqs))
-        else:
-            fld, i = _param_slot(name, len(shape.centers))
-            values = list(getattr(shape, fld))
-            v = values[i]
-            h = 1e-4 * abs(v) if v else 1e-4
-            levels = []
-            for x in (v + h, v - h):
-                values[i] = x
-                levels.append(lam0 * replace(shape, **{fld: tuple(values)}).value(freqs))
-            cols.append((levels[0] - levels[1]) / (2.0 * h))
-    jac = np.column_stack(cols)
-    fisher = jac.T @ (jac / mu[:, None])
-    fisher = 0.5 * (fisher + fisher.T)
-    # parameters carry wildly different units (counts vs Hz), so test
-    # degeneracy on the diagonal-scaled matrix, not on raw eigenvalues
-    diag = np.sqrt(np.diag(fisher))
-    if (diag <= 0).any() or not np.isfinite(diag).all():
-        raise np.linalg.LinAlgError("parameter carries no Fisher information")
-    scaled = fisher / np.outer(diag, diag)
-    eigvals = np.linalg.eigvalsh(scaled)
-    if eigvals.min() <= 1e-6:
-        raise np.linalg.LinAlgError(
-            "singular Fisher information for the selected parameters")
-    cov = np.linalg.inv(scaled) / np.outer(diag, diag)
-    return CrbResult(params=tuple(params), matrix=cov)
 
 
 def shift_bound_per_scan(shape: Lineshape, lam0: float, freqs=None) -> float:
@@ -199,16 +130,15 @@ def simulate_shift_series(shape: Lineshape, lam0: float, duration_s: float,
         np.asarray(delta_f_of_t(times), dtype=float)
     if truth.shape != times.shape:
         raise ValueError("delta_f_of_t must return one shift per bin start time")
-    # Generator.poisson fills an array in C order, so a chunk's draw is the
-    # stream of one synthesize_scan call per bin; counts below 2**53 are
-    # exact in float64, which fit_shifts then takes without a copy
+    # a chunk's draw is the stream of one synthesize_scan call per bin;
+    # counts below 2**53 are exact in float64, which fit_shifts then takes
+    # without a copy
     counts = np.empty((n_bins, freqs.size))
     for k in range(0, n_bins, _CHUNK_ROWS):
         rows = slice(k, k + _CHUNK_ROWS)
-        counts[rows] = rng.poisson(scans * lam0 * shape.value(freqs, truth[rows, None]))
-    total = OdmrScan(freqs, counts.sum(axis=0), n_scans=n_bins * scans)
+        counts[rows] = synthesize_scan(shape, lam0, truth[rows, None], rng, freqs, scans)
     if fit_shape is None:
-        fit_shape = build_interpolation(total)
+        fit_shape = build_interpolation(freqs, counts.sum(axis=0), n_bins * scans)
     delta_f, lam_fit, sigma, ok = fit_shifts(counts, freqs, fit_shape)
     return ShiftSeries(
         times=times,

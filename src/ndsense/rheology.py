@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._table import read_table, write_table
+from ._table import write_table
 from .constants import BOLTZMANN_J_PER_K, _NM_SCALE, celsius_to_kelvin
 from .media import ViscousMediumModel, stokes_einstein_D, viscosity_at
 from .trajectory import Trajectory, axes_to_indices
@@ -74,12 +74,6 @@ class MsdCurve:
         write_table(path, [("tau_s", self.taus, "%.6e"), ("msd_nm2", self.msd, "%.6e"),
                            ("var_nm4", self.var, "%.6e"), ("k", self.n_samples, "%d")],
                     meta=[("schema", 1), ("dims", self.dims), ("dt_s", self.dt)])
-
-    @classmethod
-    def from_csv(cls, path) -> "MsdCurve":
-        meta, (taus, msd, var, k) = read_table(path, ("tau_s", "msd_nm2", "var_nm4", "k"))
-        return cls(taus=taus, msd=msd, var=var, dims=meta.get("dims", "xy"),
-                   n_samples=k, dt=float(meta.get("dt_s", taus[0])), meta=meta)
 
 
 @dataclass
@@ -363,26 +357,15 @@ def _fit_mask(curve: MsdCurve, fit_range):
     return (curve.taus >= lo) & (curve.taus <= hi)
 
 
-def fit_diffusion(curve: MsdCurve, fit_range=None, through_origin: bool = True,
-                  single_tau: float | None = None) -> DiffusionFit:
+def fit_diffusion(curve: MsdCurve, fit_range=None, through_origin: bool = True) -> DiffusionFit:
     """Diffusion coefficient from MSD = 2 * n_dims * D * tau.
 
-    `single_tau` selects the one-lag estimator D = MSD(tau)/(2 n tau) at
-    the nearest grid point. Otherwise a variance-weighted linear fit over
-    `fit_range` (s), through the origin by default; with
-    ``through_origin=False`` a free intercept absorbs static localization
-    noise and motion blur.
+    A variance-weighted linear fit over `fit_range` (s), through the
+    origin by default; with ``through_origin=False`` a free intercept
+    absorbs static localization noise and motion blur.
     """
     two_d = 2.0 * curve.n_dims
     floor = float(np.asarray(curve.meta.get("noise_floor_nm2", NOISE_FLOOR_NM2)))
-
-    if single_tau is not None:
-        j = int(np.argmin(np.abs(curve.taus - single_tau)))
-        tau = curve.taus[j]
-        d_hat = curve.msd[j] / (two_d * tau)
-        sig = np.sqrt(curve.var[j]) / (two_d * tau)
-        return DiffusionFit(float(d_hat), float(sig),
-                            below_floor=bool(curve.msd[j] < floor))
 
     mask = _fit_mask(curve, fit_range)
     taus = curve.taus[mask]

@@ -17,7 +17,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import rheology
-from ._table import read_table, write_table
+from ._table import write_table
 from .trajectory import Trajectory
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "segment",
     "class_exponents",
     "labels_to_csv",
-    "labels_from_csv",
 ]
 
 DEFAULT_WINDOW_STEPS = 75
@@ -38,7 +37,6 @@ DEFAULT_CONFIDENCE = 0.95
 DEFAULT_MIN_LENGTH_NM = 500.0
 _NULL_GRID = 2048         # gamma points the null's pdf is tabulated on
 _MIN_SEGMENT_POINTS = 8   # shortest span class_exponents fits
-_LABEL_COLUMNS = ("start_idx", "end_idx", "gamma", "class", "displacement_nm", "alpha")
 
 
 @dataclass
@@ -337,10 +335,3 @@ def labels_to_csv(labels, path) -> None:
         ("class", [lab.cls for lab in labels], "%s"),
         ("displacement_nm", [lab.displacement_nm for lab in labels], "%.6f"),
         ("alpha", ["" if lab.alpha is None else "%.6f" % lab.alpha for lab in labels], "%s")])
-
-
-def labels_from_csv(path) -> list:
-    _, cols = read_table(path, _LABEL_COLUMNS, text=("class", "alpha"))
-    return [SegmentLabel(start_idx=int(start), end_idx=int(end), gamma=float(gamma), cls=cls,
-                         displacement_nm=float(disp), alpha=None if alpha == "" else float(alpha))
-            for start, end, gamma, cls, disp, alpha in zip(*cols)]

@@ -7,6 +7,8 @@ closed-form or vectorized routines under test. Slow is fine here.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 KB = 1.380649e-23  # J/K
@@ -114,28 +116,21 @@ def lorentzian_pair(f, center, split, hwhm1, hwhm2, c1, c2):
             - c2 / (1.0 + ((f - f2) / hwhm2) ** 2))
 
 
-def fisher_sigma(freqs: np.ndarray, model, dmodel, lam0: float) -> np.ndarray:
-    """Per-parameter CRB sigmas for a Poisson scan via explicit 2x2 algebra.
-
-    model(f) gives the normalized profile, dmodel(f) its shift
-    derivative. Parameters are (lam0, shift); returns their sigmas.
-    """
-    mu = lam0 * model(freqs)
-    d_lam = model(freqs)
-    d_shift = lam0 * dmodel(freqs)
-    j11 = np.sum(d_lam * d_lam / mu)
-    j12 = np.sum(d_lam * d_shift / mu)
-    j22 = np.sum(d_shift * d_shift / mu)
-    det = j11 * j22 - j12 * j12
-    return np.sqrt(np.array([j22 / det, j11 / det]))
-
-
 def _closed_form_lam0(counts, levels):
     denom = float(np.dot(levels, levels))
     return float(np.dot(counts, levels)) / denom
 
 
-def reference_fit_shift(scan, shape, max_shift: float | None = None):
+class ShiftFit(NamedTuple):
+    """One scan's fit, in the order of `odmr.fit_shifts`' arrays."""
+
+    delta_f: float
+    lam0: float
+    sigma: float
+    converged: bool
+
+
+def reference_fit_shift(counts, freqs, shape, max_shift: float | None = None) -> ShiftFit:
     """Two-parameter least squares fit of lam0 * L(f - delta_f) to one scan.
 
     The scalar fit the batched `odmr.fit_shifts` replaces: the amplitude
@@ -144,10 +139,7 @@ def reference_fit_shift(scan, shape, max_shift: float | None = None):
     """
     from scipy.optimize import minimize_scalar
 
-    from ndsense.odmr import FitShiftResult
-
-    counts = scan.counts.astype(float)
-    freqs = scan.freqs
+    counts = np.asarray(counts).astype(float)
     span = freqs[-1] - freqs[0]
     if max_shift is None:
         max_shift = 0.5 * span
@@ -180,8 +172,7 @@ def reference_fit_shift(scan, shape, max_shift: float | None = None):
     except np.linalg.LinAlgError:
         sigma = float("inf")
         converged = False
-    return FitShiftResult(lam0=lam_tot, delta_f=df_hat, sigma_delta_f=sigma,
-                          converged=converged)
+    return ShiftFit(delta_f=df_hat, lam0=lam_tot, sigma=sigma, converged=converged)
 
 
 def naive_allan(values: np.ndarray, sample_s: float, m: int) -> float:

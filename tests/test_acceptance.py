@@ -104,16 +104,14 @@ def test_criterion_04_thermometry_sensitivity():
 
     # Monte-Carlo estimator spread against the per-bin bound
     bound = odmr.shift_bound_per_scan(shape, 10.0) / np.sqrt(160)
+    freqs = odmr.default_grid()
     table = odmr.build_interpolation(
-        [odmr.synthesize_scan(shape, 10.0, 0.0, substream(108, "ref"),
-                              n_scans=100000)])
-    errs = []
-    for k in range(300):
-        scan = odmr.synthesize_scan(shape, 10.0, 0.0,
-                                    substream(108, "mc", k), n_scans=160)
-        fit = odmr.fit_shift(scan, table)
-        if fit.converged:
-            errs.append(fit.delta_f)
+        freqs, odmr.synthesize_scan(shape, 10.0, 0.0, substream(108, "ref"),
+                                    n_scans=100000), 100000)
+    counts = np.array([odmr.synthesize_scan(shape, 10.0, 0.0, substream(108, "mc", k),
+                                            n_scans=160) for k in range(300)])
+    delta_f, _, _, converged = odmr.fit_shifts(counts, freqs, table)
+    errs = delta_f[converged]
     mc_var = np.var(errs, ddof=1)
     # sampling floor: a chi2 spread this size can sit below the bound by
     # at most 3 sigma even for an exactly efficient estimator
@@ -135,8 +133,8 @@ def test_criterion_04_thermometry_sensitivity():
 def test_criterion_05_kappa_calibration():
     shape = odmr.default_lineshape()
     table = odmr.build_interpolation(
-        [odmr.synthesize_scan(shape, 10.0, 0.0, substream(7, "ref"),
-                              n_scans=240000)])
+        odmr.default_grid(), odmr.synthesize_scan(shape, 10.0, 0.0, substream(7, "ref"),
+                                                  n_scans=240000), 240000)
     sched = chip.staircase_schedule(start_C=0.0, step_C=4.0, dwell_s=300.0,
                                     n_levels=9)
     times, temps = chip.setpoint_series(sched, dt=0.4, duration=2700.0)
@@ -166,8 +164,8 @@ def test_criterion_06_two_parameter_advantage():
     shape = odmr.default_lineshape()
     freqs = odmr.default_grid()
     table = odmr.build_interpolation(
-        [odmr.synthesize_scan(shape, 10.0, 0.0, substream(104, "ref"),
-                              n_scans=100000)])
+        freqs, odmr.synthesize_scan(shape, 10.0, 0.0, substream(104, "ref"),
+                                    n_scans=100000), 100000)
     f0 = float(freqs.mean())
     scale = 1e6
     x = (freqs - f0) / scale
@@ -181,15 +179,14 @@ def test_criterion_06_two_parameter_advantage():
           shape.contrasts[0], shape.contrasts[1],
           shape.hwhms[0] / scale, shape.hwhms[1] / scale)
     true_mid = np.mean(shape.centers)
-    d2, d7 = [], []
-    for k in range(80):
-        scan = odmr.synthesize_scan(shape, 10.0, 0.0,
-                                    substream(104, "mc", k), n_scans=160)
-        fit = odmr.fit_shift(scan, table)
-        if fit.converged:
-            d2.append(fit.delta_f)
+    counts = np.array([odmr.synthesize_scan(shape, 10.0, 0.0, substream(104, "mc", k),
+                                            n_scans=160) for k in range(80)])
+    delta_f, _, _, converged = odmr.fit_shifts(counts, freqs, table)
+    d2 = delta_f[converged]
+    d7 = []
+    for scan in counts:
         try:
-            popt, _ = curve_fit(dl_model, x, scan.counts, p0=p0, maxfev=20000)
+            popt, _ = curve_fit(dl_model, x, scan, p0=p0, maxfev=20000)
             d7.append(f0 + 0.5 * (popt[1] + popt[2]) * scale - true_mid)
         except RuntimeError:
             pass

@@ -24,19 +24,6 @@ def test_rtd_temperature_at_reference():
     assert chip.rtd_temperature(r, CAL) == pytest.approx(26.0, rel=1e-12)
 
 
-def test_rtd_sigma_propagation():
-    t_true = 35.0
-    r = chip.rtd_resistance(t_true, CAL)
-    t, sigma = chip.rtd_temperature(r, CAL, with_sigma=True)
-    assert t == pytest.approx(t_true, rel=1e-12)
-    # linear response: sigma_T = |T - T0| * sigma_eta / eta
-    expect = abs(t_true - CAL.T0) * chip.DEFAULT_ETA_SIGMA_PER_C / CAL.eta
-    assert sigma == pytest.approx(expect, rel=1e-12)
-    # at the calibration point the slope uncertainty drops out
-    _, s0 = chip.rtd_temperature(CAL.R0, CAL, with_sigma=True)
-    assert s0 == 0.0
-
-
 def test_rtd_validation():
     with pytest.raises(ValueError, match="R0"):
         chip.RtdCalibration(R0=-1.0, T0=25.0)

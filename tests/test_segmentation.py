@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -284,12 +286,15 @@ def test_labels_csv_roundtrip(tmp_path):
     segmentation.class_exponents(traj, labels)  # fills alpha where possible
     path = tmp_path / "labels.csv"
     segmentation.labels_to_csv(labels, path)
-    back = segmentation.labels_from_csv(path)
+    with open(path, newline="") as fh:
+        back = list(csv.DictReader(fh))
     assert len(back) == len(labels)
     for orig, rt in zip(labels, back):
-        assert rt.start_idx == orig.start_idx
-        assert rt.end_idx == orig.end_idx
-        assert rt.cls == orig.cls
-        assert rt.displacement_nm == pytest.approx(orig.displacement_nm, abs=1e-5)
-        if orig.alpha is not None:
-            assert rt.alpha == pytest.approx(orig.alpha, abs=1e-5)
+        assert int(rt["start_idx"]) == orig.start_idx
+        assert int(rt["end_idx"]) == orig.end_idx
+        assert rt["class"] == orig.cls
+        assert float(rt["displacement_nm"]) == pytest.approx(orig.displacement_nm, abs=1e-5)
+        if orig.alpha is None:
+            assert rt["alpha"] == ""
+        else:
+            assert float(rt["alpha"]) == pytest.approx(orig.alpha, abs=1e-5)
