@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import BOLTZMANN_J_PER_K, _NM_SCALE, celsius_to_kelvin
+from .constants import BOLTZMANN_J_PER_K, _NM_SCALE
 from .seeding import as_generator
 from .trajectory import Trajectory
 

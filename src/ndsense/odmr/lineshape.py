@@ -62,6 +62,9 @@ class Lineshape:
             lv = np.asarray(self.table_L, dtype=float)
             if f.ndim != 1 or f.shape != lv.shape or f.size < 2:
                 raise ValueError("interpolation table needs matching 1-D arrays")
+            # NaN fails every comparison, so it would pass the checks below
+            if not (np.isfinite(f).all() and np.isfinite(lv).all()):
+                raise ValueError("interpolation table must be finite")
             if (np.diff(f) <= 0).any():
                 raise ValueError("table frequencies must be strictly increasing")
             if (lv <= 0).any() or (lv > _TABLE_MAX_LEVEL).any():

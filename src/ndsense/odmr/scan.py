@@ -44,8 +44,8 @@ def build_interpolation(freqs, total_counts, n_scans: int) -> Lineshape:
     if n_scans < 1:
         raise ValueError("n_scans must be >= 1")
     mean = np.asarray(total_counts) / n_scans
-    if (mean <= 0).any():
-        raise ValueError("mean counts must be positive at every point")
+    if not np.isfinite(mean).all() or (mean <= 0).any():
+        raise ValueError("mean counts must be finite and positive at every point")
     top = np.sort(mean)[-max(mean.size // 10, 1):]
     plateau = float(np.median(top))
     return Lineshape.from_table(freqs, np.minimum(mean / plateau, _TABLE_MAX_LEVEL))

@@ -19,7 +19,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from ._table import write_table
 from .constants import BOLTZMANN_J_PER_K, _NM_SCALE, celsius_to_kelvin
 from .media import ViscousMediumModel, stokes_einstein_D, viscosity_at
-from .trajectory import Trajectory, axes_to_indices
+from .trajectory import Trajectory
 
 __all__ = [
     "MsdCurve",

@@ -102,9 +102,43 @@ class TrackDiagnostics:
                            ("locked", self.locked, "%d")])
 
 
-# Orbits whose truth is interpolated at once; each per-tick array of a
-# block is 64 x 960 float64 = 0.5 MB at the default clock.
+# Orbits whose pieces are laid out at once; bounds the block's per-piece lists.
 _BLOCK_ORBITS = 64
+
+
+def _orbit_pieces(truth: Trajectory, tt, cfg: TrackerConfig, k0: int, k1: int):
+    """Split orbits k0..k1-1 into the tick runs that lie between two truth samples.
+
+    The truth (sampled at times tt) is linear between its samples, so over
+    each run (a piece) the emitter is at a + f*v, f = (i + 0.5)/S the phase
+    of tick i in its orbit. Pieces are found from the sample times
+    alone: a sample inside the block starts a piece at its first tick not
+    before it, as does each orbit start. Returns, per piece, its orbit index
+    within the block, its tick range (i0, i1) in that orbit, and a and v,
+    each of shape (n_pieces, 3).
+    """
+    S = cfg.samples_per_orbit
+    T = cfg.T_orbit
+    starts = truth.t0 + T * np.arange(k0, k1)  # the orbit starts of the tick clock
+    n_ticks = S * (k1 - k0)
+    # each sample strictly inside the block, as the block tick that starts its piece
+    lo = np.searchsorted(tt, starts[0], side="right")
+    hi = np.searchsorted(tt, truth.t0 + T * k1, side="left")
+    knot = np.ceil((tt[lo:hi] - starts[0]) / CLOCK_S - 0.5).astype(np.int64)
+    first = np.sort(np.concatenate([S * np.arange(k1 - k0), knot[knot < n_ticks]]))
+    # a sample on an orbit start, or several before one tick, starts no empty piece
+    first = first[np.append(True, first[1:] != first[:-1])]
+    orbit = first // S
+    i0 = first - S * orbit
+    i1 = np.append(first[1:], n_ticks) - S * orbit
+    # the sample interval of each piece's first tick, as np.interp picks it
+    seg = np.searchsorted(tt, starts[orbit] + (i0 + 0.5) * CLOCK_S, side="right") - 1
+    seg = np.clip(seg, 0, len(tt) - 2)
+    tp = truth.points
+    step = tp[seg + 1] - tp[seg]
+    a = tp[seg] + step * ((starts[orbit] - tt[seg]) / truth.dt)[:, None]
+    v = step * (T / truth.dt)
+    return orbit, i0, i1, a, v
 
 
 def track(truth: Trajectory, cfg: TrackerConfig, brightness: float, seed,
@@ -119,10 +153,22 @@ def track(truth: Trajectory, cfg: TrackerConfig, brightness: float, seed,
     center moves gain*delta*eps_xy toward phi and gain*eps_z*(r - G)/(r*G - 1)
     axially, r = (bottom - top)/total. An orbit without photons holds still.
 
+    The per-tick rates come from a fixed (7, S) basis of the orbit phase
+    f = (i + 0.5)/S and the beam offset b_i: rows 1, f, f^2, b_x, b_y, f*b_x
+    and f*b_y. The truth is linear between its samples, so over each piece of
+    an orbit that lies between two samples the emitter sits at a + f*v, and
+    with e = c - a, c the orbit center, each plane's exponent is
+    kxy*(R^2 + |e|^2 + f^2|v|^2 + 2b.e - 2f b.v - 2f e.v) + kz*(+-R_z + e_z - f v_z)^2.
+    That is a (2, 7) coefficient matrix of Python floats times the piece's
+    basis columns. It is the same quadratic the sampled truth gives at each
+    tick, written relative to c - a so that no large absolute positions
+    cancel; only the rounding of each exponent differs, in its last bits.
+    A truth sampled once per orbit gives one piece per orbit.
+
     Parameters
     ----------
     truth : Trajectory
-        Ground-truth motion; resampled onto the photon clock internally.
+        Ground-truth motion, linear between its samples.
     cfg : TrackerConfig
     brightness : float
         Detected counts/s per collection plane with the emitter at the
@@ -158,9 +204,11 @@ def track(truth: Trajectory, cfg: TrackerConfig, brightness: float, seed,
     # detected rate is `brightness`
     amp = np.array([[1.0 - cfg.G], [1.0 + cfg.G]]) * (
         brightness / cfg.lock_attenuation * CLOCK_S)
-    plane_z = np.array([[cfg.R_z], [-cfg.R_z]])
     kxy = -2.0 / cfg.w_xy ** 2
     kz = -2.0 / cfg.w_z ** 2
+    kxy2 = 2.0 * kxy
+    R2 = cfg.R_xy ** 2
+    R_z = cfg.R_z
     # bin sums and first Fourier moments, the sufficient statistics of the fit
     theta_bins = 2.0 * np.pi * (np.arange(nb) + 0.5) / nb
     moments = np.column_stack([np.ones(nb), np.cos(theta_bins), np.sin(theta_bins)])
@@ -171,28 +219,54 @@ def track(truth: Trajectory, cfg: TrackerConfig, brightness: float, seed,
     theta = 2.0 * np.pi * (np.arange(S) + 0.5) / S
     bx = cfg.R_xy * np.cos(theta)
     by = cfg.R_xy * np.sin(theta)
+    f = (np.arange(S) + 0.5) / S
+    basis = np.stack([np.ones(S), f, f * f, bx, by, f * bx, f * by])
     tick_frac = (np.arange(S) + 0.5) * CLOCK_S
+    expo = np.empty((2, S))  # each plane's exponent per tick of the current orbit
+    views = {}  # (i0, i1) -> the piece's basis columns and exponent slots
     tt = truth.times
-    tp = truth.points
 
-    cx, cy, cz = (tp[0] + np.asarray(initial_offset, dtype=float)).tolist()
+    cx, cy, cz = (truth.points[0] + np.asarray(initial_offset, dtype=float)).tolist()
     est = np.empty((n_orbits, 3))
     n_dark = 0
 
     for k0 in range(0, n_orbits, _BLOCK_ORBITS):
         k1 = min(k0 + _BLOCK_ORBITS, n_orbits)
-        t_ticks = (truth.t0 + cfg.T_orbit * np.arange(k0, k1)[:, None] + tick_frac).ravel()
-        # beam (and collection plane) minus emitter per tick, before the orbit center
-        ux = bx - np.interp(t_ticks, tt, tp[:, 0]).reshape(-1, S)
-        uy = by - np.interp(t_ticks, tt, tp[:, 1]).reshape(-1, S)
-        uz = plane_z - np.interp(t_ticks, tt, tp[:, 2]).reshape(-1, 1, S)
+        orbit, i0, i1, a, v = _orbit_pieces(truth, tt, cfg, k0, k1)
+        spans = list(zip(i0.tolist(), i1.tolist()))
+        for r0, r1 in set(spans).difference(views):
+            views[r0, r1] = basis[:, r0:r1], expo[:, r0:r1]
+        slots = list(map(views.__getitem__, spans))
+        # per piece: a and the c-independent coefficients, of f^2, f*b_x and
+        # f*b_y, and the factor of v_z in the coefficient of f
+        params = list(zip(*a.T.tolist(),
+                          (kxy * (v[:, 0] ** 2 + v[:, 1] ** 2) + kz * v[:, 2] ** 2).tolist(),
+                          (-kxy2 * v[:, 0]).tolist(), (-kxy2 * v[:, 1]).tolist(),
+                          (-2.0 * kz * v[:, 2]).tolist()))
+        bounds = np.searchsorted(orbit, np.arange(k1 - k0 + 1)).tolist()
         if modulation is not None:
+            t_ticks = (truth.t0 + cfg.T_orbit * np.arange(k0, k1)[:, None] + tick_frac).ravel()
             mod = np.broadcast_to(modulation(t_ticks), t_ticks.shape).reshape(-1, S)
         for j in range(k1 - k0):
-            dx = ux[j] + cx
-            dy = uy[j] + cy
-            dz = uz[j] + cz
-            lam = np.exp(kxy * (dx * dx + dy * dy) + kz * (dz * dz))
+            q0, q1 = bounds[j], bounds[j + 1]
+            # each piece's (2, 7) coefficients of 1, f, f^2, b_x, b_y, f*b_x, f*b_y
+            coef = []
+            for ax, ay, az, c2, cfx, cfy, vz in params[q0:q1]:
+                ex = cx - ax
+                ey = cy - ay
+                ez = cz - az
+                c0 = kxy * (R2 + ex * ex + ey * ey)
+                c1 = ex * cfx + ey * cfy
+                cbx = kxy2 * ex
+                cby = kxy2 * ey
+                zt = ez + R_z
+                zb = ez - R_z
+                coef += (c0 + kz * zt * zt, c1 + vz * zt, c2, cbx, cby, cfx, cfy,
+                         c0 + kz * zb * zb, c1 + vz * zb, c2, cbx, cby, cfx, cfy)
+            coef = np.array(coef).reshape(-1, 2, 7)
+            for q, (cols, out) in enumerate(slots[q0:q1]):
+                np.matmul(coef[q], cols, out=out)
+            lam = np.exp(expo, out=expo)
             if modulation is not None:
                 lam *= mod[j]
             lam = amp * lam.reshape(2, nb, -1).sum(axis=2)
@@ -211,6 +285,7 @@ def track(truth: Trajectory, cfg: TrackerConfig, brightness: float, seed,
                 n_dark += 1  # no photon: hold position, residual will show the loss
             est[k0 + j] = cx, cy, cz
 
+    tp = truth.points
     estimate = Trajectory(dt=cfg.T_orbit, points=est, t0=truth.t0 + cfg.T_orbit,
                           meta={"generator": "tracker", "brightness_cps": brightness})
     times = truth.t0 + cfg.T_orbit * (1 + np.arange(n_orbits))

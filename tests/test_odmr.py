@@ -59,6 +59,20 @@ def test_lineshape_validation():
         odmr.Lineshape(kind="bogus")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_table_rejects_non_finite_values(bad):
+    # NaN passes both level range checks and the frequency order check,
+    # since every comparison with it is False
+    with pytest.raises(ValueError, match="finite"):
+        odmr.Lineshape.from_table(GRID, np.full(GRID.size, bad))
+    freqs = GRID.copy()
+    freqs[7] = bad
+    with pytest.raises(ValueError, match="finite"):
+        odmr.Lineshape.from_table(freqs, np.ones(GRID.size))
+    with pytest.raises(ValueError, match="finite"):
+        odmr.build_interpolation(GRID, np.full(GRID.size, bad), 1)
+
+
 def test_derivative_matches_finite_difference():
     f = GRID
     h = 50.0

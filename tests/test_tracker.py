@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ndsense import media, tracker
 from ndsense.seeding import substream
@@ -157,6 +159,41 @@ def test_noise_free_track_matches_reference_loop(cfg, modulation):
     want = reference_track(truth, cfg, 1e6, **kw)
     assert len(est) == n_orbits
     assert diag.n_dark == 0
+    np.testing.assert_allclose(est.points, want, rtol=0, atol=1e-9)
+
+
+# (sample period in s, number of samples) of a truth that lasts n orbits or a
+# little longer; "static" is two equal samples
+TRUTH_GRIDS = {
+    "orbit": lambda n: (CFG.T_orbit, n + 1),
+    "2.5-orbits": lambda n: (2.5 * CFG.T_orbit, int(np.ceil(n / 2.5)) + 1),
+    "1-ms": lambda n: (1e-3, int(np.ceil(n * CFG.T_orbit / 1e-3)) + 1),
+    "static": lambda n: ((n + 0.5) * CFG.T_orbit, 2),
+}
+
+
+@pytest.mark.parametrize("grid", sorted(TRUTH_GRIDS))
+@pytest.mark.parametrize("dimmed, G", [(False, 0.0), (True, 0.0), (False, 0.25), (True, -0.4)],
+                         ids=["plain", "dimmed", "imbalanced", "imbalanced-dimmed"])
+@settings(max_examples=8, deadline=None)
+@given(n_orbits=st.integers(2, 12), t0=st.floats(1e-3, 50.0),
+       origin=st.floats(-2000.0, 2000.0), seed=st.integers(0, 2**32 - 1))
+def test_noise_free_track_matches_reference_on_any_truth_grid(grid, dimmed, G, n_orbits, t0,
+                                                              origin, seed):
+    # sample knots on orbit starts, inside some orbits, several per orbit,
+    # or none at all, far from the origin and at any start time
+    dt, n = TRUTH_GRIDS[grid](n_orbits)
+    rng = np.random.default_rng(seed)
+    steps = rng.normal(0.0, 12.0 * np.sqrt(dt / CFG.T_orbit), (n, 3))
+    if grid == "static":
+        steps[1] = 0.0
+    truth = Trajectory(dt=dt, points=origin + np.cumsum(steps, axis=0), t0=t0)
+    cfg = tracker.TrackerConfig(G=G)
+    kw = dict(modulation=square_dimming if dimmed else None,
+              initial_offset=tuple(rng.uniform(-30.0, 30.0, 3)))
+    est, _ = tracker.track(truth, cfg, 1e6, seed=0, shot_noise=False, **kw)
+    want = reference_track(truth, cfg, 1e6, **kw)
+    assert est.points.shape == want.shape
     np.testing.assert_allclose(est.points, want, rtol=0, atol=1e-9)
 
 
