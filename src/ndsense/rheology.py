@@ -180,6 +180,19 @@ def _autocorr(y: np.ndarray, nfft: int) -> np.ndarray:
     return np.fft.irfft(power, nfft)
 
 
+# OpenBLAS splits a dot product of over 10,000 entries across its threads,
+# so the order of its sum, and the last bits of the result, follow the
+# thread count; blocks of at most this many entries each run on one thread
+_DOT_BLOCK = 8192
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a @ b for two vectors, summed block by block in order: the same bits
+    for every BLAS thread count, and a @ b's bits up to one block."""
+    return sum((float(a[i:i + _DOT_BLOCK] @ b[i:i + _DOT_BLOCK])
+                for i in range(0, a.size, _DOT_BLOCK)), 0.0)
+
+
 def _prefix_sums(v: np.ndarray, hi: int) -> np.ndarray:
     """Sums of the first 0..hi entries of ``v``."""
     return np.concatenate(([0.0], np.cumsum(v[:hi])))
@@ -197,7 +210,7 @@ def _axis_msd(x: np.ndarray, lags: np.ndarray) -> np.ndarray:
     hi = int(lags[-1])
     t = np.arange(n) - 0.5 * (n - 1)
     y = x - x.mean()
-    slope = float(t @ y) / float(t @ t)
+    slope = _dot(t, y) / _dot(t, t)
     y -= slope * t
     nfft = _next_fast_len(n + hi)
     s2 = _autocorr(y, nfft)[lags]
@@ -217,7 +230,7 @@ def _var_cov(sums: np.ndarray, k: int) -> float:
     # autocorrelation sums at offsets below min(lag, K), from either path
     # of `_axis_var`.
     c = sums / (k - np.arange(sums.size))
-    return 2.0 / k * c[0] * c[0] + 4.0 / k * float(c[1:] @ c[1:])
+    return 2.0 / k * c[0] * c[0] + 4.0 / k * _dot(c[1:], c[1:])
 
 
 def _axis_var(x: np.ndarray, lags: np.ndarray) -> np.ndarray:

@@ -43,8 +43,8 @@ _MIN_SEGMENT_POINTS = 8   # shortest span class_exponents fits
 class GammaNull:
     """Analytic null of the directionality ratio for Brownian windows.
 
-    The pdf is tabulated on first read; the critical value needs only the
-    non-central t quantile.
+    The pdf is tabulated on first read, from the package's own non-central
+    t density (`_nct_pdf`); the critical value needs only its quantile.
     """
 
     N: int                    # steps per window
@@ -62,11 +62,9 @@ class GammaNull:
     @cached_property
     def pdf(self) -> np.ndarray:
         """f_gamma on the grid."""
-        from scipy.stats import nct  # only the pdf needs scipy.stats
-
         eta = np.sqrt(self.M) / (self.sigma_chi * self.gammas)
-        dist = nct(df=self.M, nc=np.sqrt(self.N) * self.mu_chi / self.sigma_chi)
-        pdf = np.sqrt(self.M) / (self.sigma_chi * self.gammas ** 2) * dist.pdf(eta)
+        nc = float(np.sqrt(self.N) * self.mu_chi / self.sigma_chi)
+        pdf = np.sqrt(self.M) / (self.sigma_chi * self.gammas ** 2) * _nct_pdf(eta, self.M, nc)
         norm = float(np.trapezoid(pdf, self.gammas))
         if not 0.9 < norm < 1.1:
             raise RuntimeError(f"gamma null failed to normalize: integral {norm:.4f}")
@@ -119,11 +117,57 @@ def _nct_cdf(t: float, df: int, nc: float) -> float:
     return 0.5 * half * float(w @ g)
 
 
+def _nct_sf(t: float, df: int, nc: float) -> float:
+    """P(T > t) for the non-central t of `_nct_cdf`, as the integral over
+    X = s of P(Z > t s / r - nc) rather than 1 - P(T <= t), so that a tail
+    far below the CDF's round-off keeps its relative accuracy. For t > 0
+    that probability falls from 1 to 0 within 12 / q of s = nc / q, q = t / r:
+    96-point Gauss-Legendre runs on each side of where the fall begins, up
+    to s = 12, past which X has no mass that counts."""
+    x, w = _gauss_legendre(96)
+    r = math.sqrt(df)
+    c = 2.0 ** (1.0 - 0.5 * df) / math.gamma(0.5 * df)
+    q = t / r
+    cut, end = (min(max(nc + d, 0.0) / q, 12.0) if q > 0 else 12.0 for d in (-12.0, 12.0))
+    total = 0.0
+    for lo, hi in ((0.0, cut), (cut, end)):
+        half = 0.5 * (hi - lo)
+        s = half * (x + 1.0) + lo
+        g = c * s ** (df - 1) * np.exp(-0.5 * s * s) * _erfc((q * s - nc) / math.sqrt(2.0))
+        total += 0.5 * half * float(w @ g)
+    return total
+
+
+def _nct_pdf(t: np.ndarray, df: int, nc: float) -> np.ndarray:
+    """Density at each of `t` of the non-central t of `_nct_cdf`: the
+    integral over X = s of f_X(s) (s / r) phi(t s / r - nc), by 96-point
+    Gauss-Legendre. The integrand peaks at the s* that solves
+    (1 + q^2) s^2 - q nc s - df = 0, q = t / r, and its log has curvature
+    -(1 + q^2 + df / s*^2) there; the window spans 12 of the widths that
+    curvature gives on each side of s*, clipped at 0."""
+    x, w = _gauss_legendre(96)
+    r = math.sqrt(df)
+    c = 2.0 ** (1.0 - 0.5 * df) / math.gamma(0.5 * df)
+    q = t[:, None] / r
+    a = 1.0 + q * q
+    peak = (q * nc + np.sqrt((q * nc) ** 2 + 4.0 * df * a)) / (2.0 * a)
+    width = 1.0 / np.sqrt(a + df / (peak * peak))
+    lo = np.maximum(peak - 12.0 * width, 0.0)
+    half = 0.5 * (peak + 12.0 * width - lo)
+    s = half * (x + 1.0) + lo
+    g = c / r * s ** df * np.exp(-0.5 * s * s - 0.5 * (q * s - nc) ** 2)
+    return half[:, 0] / math.sqrt(2.0 * math.pi) * (g @ w)
+
+
 def _nct_ppf(p: float, df: int, nc: float) -> float:
     """The t with P(T <= t) = p for the non-central t of `_nct_cdf`, by the
-    Illinois variant of regula falsi to the last representable step."""
+    Illinois variant of regula falsi to the last representable step. Above
+    p = 0.5 it solves P(T > t) = 1 - p instead, where 1 - p is exact."""
+    if p == 1.0:  # no finite t leaves a tail of 0
+        return math.inf
+
     def f(t):
-        return _nct_cdf(t, df, nc) - p
+        return _nct_cdf(t, df, nc) - p if p <= 0.5 else 1.0 - p - _nct_sf(t, df, nc)
 
     a, fa = 0.0, f(0.0)
     b = -math.copysign(max(nc, 1.0), fa)  # towards the root from 0

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+import mpmath as mp
 import numpy as np
 
 KB = 1.380649e-23  # J/K
@@ -211,6 +212,36 @@ def reference_gamma(window: np.ndarray) -> float:
     if path == 0.0:
         return float("nan")
     return float(np.linalg.norm(w[-1] - w[0]) / path)
+
+
+def mp_nct_pdf(t: float, df: int, nc: float):
+    """Non-central t density at `t`, as an mpmath number, from its closed form
+    in Kummer's function 1F1 (no integral) at the working precision."""
+    t, nc, v = mp.mpf(t), mp.mpf(nc), mp.mpf(df)
+    u = v + t * t
+    z = nc * nc * t * t / (2 * u)
+    scale = (v ** (v / 2) * mp.gamma(v + 1) * mp.exp(-nc * nc / 2)
+             / (2 ** v * u ** (v / 2) * mp.gamma(v / 2)))
+    return scale * (mp.sqrt(2) * nc * t / u * mp.hyp1f1(v / 2 + 1, 1.5, z) / mp.gamma((v + 1) / 2)
+                    + mp.hyp1f1((v + 1) / 2, 0.5, z) / (mp.sqrt(u) * mp.gamma(v / 2 + 1)))
+
+
+def mp_nct_ppf(p: float, df: int, nc: float, start: float):
+    """The t > 0 with P(T > t) = 1 - p for the non-central t
+    T = (Z + nc) / (X / sqrt(df)), by Newton's method from `start` on
+    mpmath's quadrature of P(Z > t X / sqrt(df) - nc) over X ~ chi(df)."""
+    tail = 1 - mp.mpf(p)
+    c = mp.mpf(2) ** (1 - mp.mpf(df) / 2) / mp.gamma(mp.mpf(df) / 2)
+    t = mp.mpf(start)
+    for _ in range(8):
+        q = t / mp.sqrt(df)
+        sf = mp.quad(lambda s: c * s ** (df - 1) * mp.exp(-s * s / 2) * mp.ncdf(nc - q * s),
+                     [0, nc / q, (nc + 12) / q, mp.inf])
+        step = (sf - tail) / mp_nct_pdf(t, df, nc)
+        t += step
+        if abs(step) < mp.mpf(10) ** (4 - mp.mp.dps) * t:
+            return t
+    raise RuntimeError("Newton's method did not converge")
 
 
 # ----------------------------------------------------------------- tracker

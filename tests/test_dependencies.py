@@ -1,9 +1,9 @@
-"""The package's runtime imports: the standard library, numpy and scipy only.
+"""The package's runtime imports: the standard library and numpy only.
 
-No scipy module loads on the way through `import ndsense.cli`, `simulate`
-and `analyze`: the FFTs are numpy's, Gamma is `math.gamma` and the
-directionality null's critical value comes from the package's own
-non-central t quantile. Only `gamma-null` imports `scipy.stats`, for the pdf.
+Every subcommand runs with scipy blocked: the FFTs are numpy's, Gamma is
+`math.gamma`, and the directionality null's critical value and pdf come
+from the package's own non-central t quadrature. scipy (and mpmath) are
+test dependencies, the references the tests compare against.
 """
 
 import ast
@@ -14,7 +14,7 @@ import subprocess
 import sys
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "ndsense"
-ALLOWED = set(sys.stdlib_module_names) | {"numpy", "scipy", "ndsense"}
+ALLOWED = set(sys.stdlib_module_names) | {"numpy", "ndsense"}
 
 # (config, analyze inputs) of one small run of each kind the CLI does: the
 # tracker, the rheology analyses (modulus, PSD, force, segmentation) and the
@@ -37,10 +37,20 @@ _RUNS = [
      ["--traj", "truth.csv", "--temperature", "temperature.csv", "--shifts", "shifts.csv",
       "--setpoints", "setpoints.csv"]),
 ]
-# runs each of _RUNS through cli.main in one fresh interpreter, then prints the
-# scipy modules loaded
+# runs each of _RUNS through cli.main in one fresh interpreter in which
+# importing scipy raises, then crb and allan on the ODMR run and gamma-null,
+# at the default confidence and at one that solves in the upper tail
 _SCRIPT = """
 import json, os, sys
+
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"{name} is blocked")
+
+
+sys.meta_path.insert(0, BlockScipy())
 import ndsense.cli as cli
 cli.build_parser()
 root = sys.argv[1]
@@ -54,11 +64,17 @@ for i, (cfg, inputs) in enumerate(runs):
     inputs = [a if a.startswith("--") else os.path.join(run, a) for a in inputs]
     assert cli.main(["analyze", "--config", path, "--out-dir", os.path.join(run, "analyze"),
                      *inputs]) == 0
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+odmr = os.path.join(root, "2")
+assert cli.main(["crb", "--config", odmr + ".json", "--out-dir", odmr]) == 0
+assert cli.main(["allan", "--input", os.path.join(odmr, "temperature.csv"),
+                 "--out-dir", odmr]) == 0
+for confidence in ("0.95", "1e-12"):
+    assert cli.main(["gamma-null", "--confidence", confidence,
+                     "--out-dir", os.path.join(root, "null-" + confidence)]) == 0
 """
 
 
-def test_imports_are_stdlib_numpy_scipy_or_ndsense():
+def test_imports_are_stdlib_numpy_or_ndsense():
     modules = sorted(SRC.rglob("*.py"))
     assert len(modules) >= 17
     foreign = []
@@ -75,14 +91,15 @@ def test_imports_are_stdlib_numpy_scipy_or_ndsense():
     assert not foreign
 
 
-def test_cli_simulates_and_analyzes_without_scipy(tmp_path):
+def test_every_subcommand_runs_with_scipy_blocked(tmp_path):
     (tmp_path / "runs.json").write_text(json.dumps(_RUNS))
-    done = subprocess.run([sys.executable, "-W", "error", "-c", _SCRIPT, str(tmp_path)],
-                          capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=str(SRC.parent)), check=True)
-    assert done.stdout.splitlines()[-1] == "[]"
+    subprocess.run([sys.executable, "-W", "error", "-c", _SCRIPT, str(tmp_path)],
+                   capture_output=True, text=True,
+                   env=dict(os.environ, PYTHONPATH=str(SRC.parent)), check=True)
     assert (tmp_path / "1" / "analyze" / "labels.csv").exists()
-    assert (tmp_path / "2" / "analyze" / "allan.csv").exists()
+    for out in ("2/analyze/allan.csv", "2/allan.csv", "2/crb.json",
+                "null-0.95/gamma_null.csv", "null-1e-12/gamma_null.json"):
+        assert (tmp_path / out).exists()
 
 
 def test_package_and_simulation_layers_import_without_scipy():

@@ -1,3 +1,7 @@
+import os
+import pathlib
+import subprocess
+import sys
 from contextlib import nullcontext
 
 import numpy as np
@@ -196,6 +200,31 @@ def test_msd_axes_sum():
     x = rheology.msd(traj, axes="x", lags=lags, noise_floor_nm2=0.0)
     y = rheology.msd(traj, axes="y", lags=lags, noise_floor_nm2=0.0)
     np.testing.assert_allclose(xy.msd, x.msd + y.msd, rtol=1e-12)
+
+
+# prints the MSD and variance bits of eight 30,000-point walks: the drift fit
+# of each axis and the variance at lag 12,000 take dot products of over
+# 10,000 entries, which OpenBLAS splits across its threads
+_MSD_BITS = """
+import numpy as np
+from ndsense import rheology
+from ndsense.trajectory import Trajectory
+for seed in range(8):
+    pts = np.cumsum(np.random.default_rng(seed).normal(0.0, 10.0, (30_000, 3)), axis=0)
+    curve = rheology.msd(Trajectory(dt=0.01, points=pts), "xyz", lags=[1, 100, 12_000],
+                         noise_floor_nm2=0.0)
+    print(curve.msd.tobytes().hex(), curve.var.tobytes().hex())
+"""
+
+
+def test_msd_bits_do_not_follow_blas_threads():
+    src = str(pathlib.Path(rheology.__file__).resolve().parents[1])
+    runs = [subprocess.run([sys.executable, "-c", _MSD_BITS], capture_output=True, text=True,
+                           check=True, env=dict(os.environ, PYTHONPATH=src,
+                                                OPENBLAS_NUM_THREADS=threads)).stdout
+            for threads in ("1", "2")]
+    assert runs[0].count("\n") == 8
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("dt", [0.1, np.float64(0.1)], ids=["float", "numpy-float64"])

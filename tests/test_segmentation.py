@@ -1,5 +1,6 @@
 import csv
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,7 @@ from ndsense import media, segmentation
 from ndsense.seeding import substream
 from ndsense.trajectory import Trajectory
 
-from _oracles import mc_directionality_null, reference_gamma
+from _oracles import mc_directionality_null, mp_nct_pdf, mp_nct_ppf, reference_gamma
 
 
 NULL = segmentation.gamma_null(75, 2, 0.95)
@@ -66,7 +67,9 @@ def test_null_critical_value_equals_nct_ppf(N, M, confidence):
 
 
 _NCT_N = sorted({*range(2, 21), *np.geomspace(2, 1e5, 40).astype(int).tolist()})
-_NCT_CONFIDENCE = (0.5, 0.6, 0.75, 0.9, 0.95, 0.975, 0.99, 0.995, 0.999, 0.9995, 0.9999)
+# below 0.5 the quantile solves on the upper tail
+_NCT_CONFIDENCE = (1e-6, 1e-4, 0.001, 0.01, 0.1, 0.25, 0.4,
+                   0.5, 0.6, 0.75, 0.9, 0.95, 0.975, 0.99, 0.995, 0.999, 0.9995, 0.9999)
 # nctdtrit's own error at N = 5, M = 1, 99.99% is 1.0e-12 (against a 25-digit
 # mpmath quantile of the same integrals, to which the package's is within 6e-16)
 _NCTDTRIT_OFF = {(1, 5, 0.9999): 1.1e-12}
@@ -87,6 +90,36 @@ def test_nct_quantile_matches_nctdtrit(M):
                 off.append((N, confidence, got, want))
     assert not off
     assert negative  # short windows at high confidence have a negative quantile
+
+
+@pytest.mark.parametrize("M", [1, 2, 3])
+def test_nct_quantile_near_one_matches_mpmath(M):
+    # 1 - p far below the CDF's round-off, where nctdtrit was never checked
+    with mp.workdps(30):
+        for nc in (5.0, 30.0):
+            for p in (1 - 1e-9, 1 - 1e-12, 1 - 1e-15):
+                got = segmentation._nct_ppf(p, M, nc)
+                want = mp_nct_ppf(p, M, nc, start=got)
+                assert abs(got - want) <= 1e-9 * want, (nc, p)
+
+
+@pytest.mark.parametrize("N", [2, 10, 75, 500, 2000])
+@pytest.mark.parametrize("M", [1, 2, 3])
+def test_nct_pdf_matches_scipy_or_mpmath(N, M):
+    # the density under the null's pdf at every grid point: scipy's to 1e-12
+    # relative where scipy's exceeds 1e-250, and elsewhere (scipy's 0, or
+    # scipy 5.7e-9 off at N = 2000, M = 3) the 1F1 closed form at 40 digits,
+    # to 1e-12 relative down to an absolute 1e-300
+    null = segmentation.gamma_null(N, M)
+    eta = np.sqrt(M) / (null.sigma_chi * null.gammas)
+    nc = float(np.sqrt(N) * null.mu_chi / null.sigma_chi)
+    got = segmentation._nct_pdf(eta, M, nc)
+    want = nct.pdf(eta, M, nc)
+    agree = (want > 1e-250) & (np.abs(got - want) <= 1e-12 * want)
+    with mp.workdps(40):
+        off = [(eta[i], got[i], mp_nct_pdf(eta[i], M, nc)) for i in np.flatnonzero(~agree)]
+    assert not [o for o in off if not abs(o[1] - o[2]) <= 1e-12 * o[2] + 1e-300]
+    assert agree.mean() > 0.5
 
 
 def test_null_with_negative_quantile():
