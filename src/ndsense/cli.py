@@ -308,7 +308,10 @@ def _read_input(reader, path, *args):
 
 def _fit_D(traj: Trajectory, an: dict):
     n = traj.points.shape[0]
-    max_lag = max(int(an.get("max_lag_s", 50 * traj.dt) / traj.dt), 2)
+    # a max_lag_s of whole steps can divide to just below the integer
+    # (2.3 / 0.1 = 22.999999999999996), so the quotient gets the relative
+    # slack of `odmr.bin_count`
+    max_lag = max(int(an.get("max_lag_s", 50 * traj.dt) / traj.dt * (1.0 + 1e-9)), 2)
     # the default 50 lags stop at half the trajectory, above which `msd` warns
     top = n - 1 if "max_lag_s" in an else max(n // 2, 2)
     lags = np.arange(1, min(max_lag, top, n - 1) + 1)
@@ -464,7 +467,7 @@ def cmd_allan(args) -> int:
     series = _read_temperature(args.input)
     taus, adev, write = _allan(series)
     write(os.path.join(_out_dir(args), "allan.csv"))
-    if (adev > 0).all():
+    if (adev > 0).any():
         sens = odmr.allan_sensitivity(taus, adev)
         print(f"Allan sensitivity: {sens:.3f} C/sqrt(Hz)")
     else:

@@ -162,8 +162,8 @@ def _fgn(n: int, hurst: float, dt: float, variance: float, rng: np.random.Genera
     return w[:n]
 
 
-def simulate_viscoelastic(model: ViscoelasticModel, n_steps: int, dt: float, seed,
-                          origin=(0.0, 0.0, 0.0), t0: float = 0.0) -> Trajectory:
+def simulate_viscoelastic(model: ViscoelasticModel, n_steps: int, dt: float,
+                          seed) -> Trajectory:
     """Fractional-Brownian trajectory with per-axis MSD = 2*K_alpha*tau**alpha.
 
     alpha = 1 reduces to free diffusion with D = K_alpha; alpha = 2 is the
@@ -175,15 +175,15 @@ def simulate_viscoelastic(model: ViscoelasticModel, n_steps: int, dt: float, see
     if model.alpha == 2.0:
         # rank-one limit: x(t) = sqrt(var) * Z * t per axis
         z = rng.standard_normal(3)
-        t = dt * np.arange(n_steps + 1)
-        points = np.sqrt(var) * np.outer(t, z)
+        t = dt * np.arange(1, n_steps + 1)
+        moves = np.sqrt(var) * np.outer(t, z)
     else:
         hurst = model.alpha / 2.0
         incs = np.column_stack([_fgn(n_steps, hurst, dt, var, rng) for _ in range(3)])
-        points = np.vstack([np.zeros(3), np.cumsum(incs, axis=0)])
-    points = points + np.asarray(origin, dtype=float)
+        moves = np.cumsum(incs, axis=0)
+    points = np.vstack([np.zeros(3), moves])
     meta = {"generator": "viscoelastic", "alpha": model.alpha, "K_alpha": model.K_alpha}
-    return Trajectory(dt=dt, points=points, t0=t0, meta=meta)
+    return Trajectory(dt=dt, points=points, meta=meta)
 
 
 def first_bad_segment(specs, n_steps: int):

@@ -87,7 +87,6 @@ class ComplexModulus:
     alpha_local: np.ndarray  # local log-log MSD slope at tau = 1/f
     delta: np.ndarray        # loss tangent angle, rad
     flagged: np.ndarray      # True where alpha fell outside [0, 2]
-    meta: dict = field(default_factory=dict)
 
     def to_csv(self, path) -> None:
         write_table(path, [("f_hz", self.freqs, "%.6e"), ("g_abs_pa", self.G_abs, "%.6e"),
@@ -102,9 +101,7 @@ class PsdCurve:
 
     freqs: np.ndarray   # Hz
     values: np.ndarray  # nm^2/Hz
-    axes: str
     window_s: float
-    meta: dict = field(default_factory=dict)
 
     def value_at(self, f: float) -> float:
         """Log-log interpolated density at one frequency."""
@@ -125,9 +122,7 @@ class ForceSpectrum:
     thermal: np.ndarray       # N^2/Hz
     external: np.ndarray      # N^2/Hz, negatives clipped to 0
     external_raw: np.ndarray  # N^2/Hz, before clipping
-    K_abs: np.ndarray         # N/m, |6 pi r G*|
     clipped: np.ndarray       # True where external_raw < 0
-    meta: dict = field(default_factory=dict)
 
     def to_csv(self, path) -> None:
         write_table(path, [("omega_rad_s", self.omegas, "%.6e"),
@@ -472,8 +467,7 @@ def complex_modulus(curve: MsdCurve, T_K: float, r_nm: float) -> ComplexModulus:
     freqs = (1.0 / curve.taus)[order]
     return ComplexModulus(freqs=freqs, G_abs=g_abs[order], G_prime=g_p[order],
                           G_dprime=g_pp[order], alpha_local=alpha[order],
-                          delta=delta[order], flagged=flagged[order],
-                          meta={"T_K": T_K, "r_nm": r_nm})
+                          delta=delta[order], flagged=flagged[order])
 
 
 def _welch(x: np.ndarray, fs: float, nperseg: int):
@@ -511,8 +505,7 @@ def psd(traj: Trajectory, axes: str = "xy",
     for a in range(cols.shape[1]):
         freqs, pxx = _welch(cols[:, a], 1.0 / traj.dt, nperseg)
         total = pxx if total is None else total + pxx
-    return PsdCurve(freqs=freqs, values=total, axes=axes, window_s=window_s,
-                    meta={"dt": traj.dt, "nperseg": nperseg})
+    return PsdCurve(freqs=freqs, values=total, window_s=window_s)
 
 
 def _thermal_force_density(f, alpha, K_dprime, T_K):
@@ -557,9 +550,7 @@ def external_force_spectrum(psd_curve: PsdCurve, modulus: ComplexModulus,
     clipped = raw < 0
     return ForceSpectrum(omegas=2.0 * np.pi * f, thermal=thermal,
                          external=np.where(clipped, 0.0, raw),
-                         external_raw=raw, K_abs=k_abs, clipped=clipped,
-                         meta={"r_nm": r_nm, "T_K": T_K,
-                               "n_clipped": int(clipped.sum())})
+                         external_raw=raw, clipped=clipped)
 
 
 def fit_hydrodynamic_radius(pairs, medium: ViscousMediumModel,

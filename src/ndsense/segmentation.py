@@ -298,7 +298,6 @@ def segment(traj: Trajectory, null: GammaNull, axes: str = "xy",
 class ClassStats:
     """Exponent statistics of one motion class."""
 
-    alphas: np.ndarray
     mean: float
     sd: float
     degenerate: bool          # single segment: sd pinned to 0
@@ -313,7 +312,7 @@ class ClassExponents:
     notices: list = field(default_factory=list)
 
 
-def class_exponents(traj: Trajectory, labels, axes: str = "xy") -> ClassExponents:
+def class_exponents(traj: Trajectory, labels) -> ClassExponents:
     """Per-class anomalous exponents and ensemble MSDs from labeled spans.
 
     Each segment of at least 8 positions is fitted over lags
@@ -335,7 +334,7 @@ def class_exponents(traj: Trajectory, labels, axes: str = "xy") -> ClassExponent
             sub = traj.slice(lab.start_idx, lab.end_idx + 1)
             max_lag = max(n_seg // 4, 2)
             lags = np.arange(1, max_lag + 1)
-            curve = rheology.msd(sub, axes=axes, lags=lags, variance="none",
+            curve = rheology.msd(sub, axes="xy", lags=lags, variance="none",
                                  noise_floor_nm2=0.0)
             lo = 2.0 * traj.dt
             hi = min(10.0 * lo, curve.taus[-1])
@@ -360,7 +359,6 @@ def class_exponents(traj: Trajectory, labels, axes: str = "xy") -> ClassExponent
         taus = curves[0].taus[:n_common]
         ens = np.mean([c.msd[:n_common] for c in curves], axis=0)
         out.classes[cls] = ClassStats(
-            alphas=alphas,
             mean=float(alphas.mean()),
             sd=0.0 if degenerate else float(alphas.std(ddof=1)),
             degenerate=degenerate,

@@ -583,6 +583,12 @@ def test_analyze_default_lags_stop_at_half_the_trajectory(tmp_path):
     with pytest.warns(RuntimeWarning, match="above half"):
         assert cli.main(argv + ["--config", path]) == 0
     assert read_table(tmp_path / "msd.csv", columns)[1][0].size == 60
+    # 2.3 s / 0.1 s divides to 22.999999999999996 and still asks for 23 lags
+    cfg["analysis"] = {"max_lag_s": 2.3}
+    path = write_config(tmp_path / "cfg.json", cfg)
+    assert cli.main(argv + ["--config", path]) == 0
+    taus = read_table(tmp_path / "msd.csv", columns)[1][0]
+    assert taus.size == 23 and taus[-1] == pytest.approx(2.3)
 
 
 def test_analyze_radius_fit(tmp_path):
@@ -825,6 +831,27 @@ def test_allan_command(tmp_path, odmr_run):
     assert cli.main(["allan", "--input", str(odmr_run / "temperature.csv"),
                      "--out-dir", str(tmp_path)]) == 0
     assert (tmp_path / "allan.csv").exists()
+
+
+def test_allan_sensitivity_from_the_positive_deviations(tmp_path, capsys):
+    # an alternating +-1 series has zero Allan deviation at even cluster sizes
+    # and a positive one at odd sizes: allan and analyze both report the
+    # sensitivity of the positive points
+    n = 60
+    path = tmp_path / "temperature.csv"
+    odmr.TemperatureSeries(0.4 * np.arange(n), (-1.0) ** np.arange(n),
+                           np.full(n, 0.01)).to_csv(path)
+    taus, adev = odmr.allan_deviation((-1.0) ** np.arange(n), 0.4)
+    assert (adev == 0).any() and (adev > 0).any()
+    sens = odmr.allan_sensitivity(taus, adev)
+    assert cli.main(["allan", "--input", str(path), "--out-dir", str(tmp_path)]) == 0
+    assert f"Allan sensitivity: {sens:.3f} C/sqrt(Hz)" in capsys.readouterr().out
+    cfg = write_config(tmp_path / "cfg.json", brownian_cfg())
+    assert cli.main(["simulate", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+    assert cli.main(["analyze", "--traj", str(tmp_path / "truth.csv"), "--temperature",
+                     str(path), "--out-dir", str(tmp_path / "out")]) == 0
+    with open(tmp_path / "out" / "summary.json") as fh:
+        assert json.load(fh)["sensitivity_C_per_sqrtHz"] == pytest.approx(sens)
 
 
 def test_allan_command_too_short(tmp_path):

@@ -76,7 +76,7 @@ for confidence in ("0.95", "1e-12"):
 
 def test_imports_are_stdlib_numpy_or_ndsense():
     modules = sorted(SRC.rglob("*.py"))
-    assert len(modules) >= 17
+    assert len(modules) == 12
     foreign = []
     for path in modules:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -89,6 +89,21 @@ def test_imports_are_stdlib_numpy_or_ndsense():
             foreign += [f"{path.relative_to(SRC)}:{node.lineno}: {name}"
                         for name in names if name.split(".")[0] not in ALLOWED]
     assert not foreign
+
+
+def test_every_imported_name_is_used():
+    unused = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                                and node.module != "__future__"):
+                # `import a.b` binds `a`
+                unused += [f"{path.relative_to(SRC)}:{node.lineno}: {alias.name}"
+                           for alias in node.names
+                           if (alias.asname or alias.name.split(".")[0]) not in used]
+    assert not unused
 
 
 def test_every_subcommand_runs_with_scipy_blocked(tmp_path):

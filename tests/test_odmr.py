@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ndsense import chip, odmr
-from ndsense.odmr.scan import _CHUNK_ROWS
+from ndsense.odmr import _CHUNK_ROWS
 from ndsense.seeding import substream
 
 from _oracles import lorentzian_pair, naive_allan, reference_fit_shift
