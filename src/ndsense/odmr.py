@@ -562,7 +562,6 @@ class ShiftSeries:
     delta_f: np.ndarray   # Hz
     sigma: np.ndarray     # Hz
     lam0: np.ndarray      # fitted amplitude per bin
-    bin_s: float
     n_excluded: int
     meta: dict = field(default_factory=dict)
 
@@ -627,7 +626,6 @@ def simulate_shift_series(shape: Lineshape, lam0: float, duration_s: float,
         delta_f=delta_f,
         sigma=sigma,
         lam0=lam_fit,
-        bin_s=bin_s,
         n_excluded=int((~ok).sum()),
         meta={"scans_per_bin": scans, "truth": truth},
     )

@@ -101,7 +101,6 @@ class PsdCurve:
 
     freqs: np.ndarray   # Hz
     values: np.ndarray  # nm^2/Hz
-    window_s: float
 
     def value_at(self, f: float) -> float:
         """Log-log interpolated density at one frequency."""
@@ -505,7 +504,7 @@ def psd(traj: Trajectory, axes: str = "xy",
     for a in range(cols.shape[1]):
         freqs, pxx = _welch(cols[:, a], 1.0 / traj.dt, nperseg)
         total = pxx if total is None else total + pxx
-    return PsdCurve(freqs=freqs, values=total, window_s=window_s)
+    return PsdCurve(freqs=freqs, values=total)
 
 
 def _thermal_force_density(f, alpha, K_dprime, T_K):

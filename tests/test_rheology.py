@@ -462,7 +462,7 @@ def test_psd_equals_scipy_welch(n, dt, window_s):
 
 def test_psd_value_at_loglog():
     spec = rheology.PsdCurve(freqs=np.array([1.0, 10.0, 100.0]),
-                             values=np.array([1.0, 10.0, 100.0]), window_s=1.0)
+                             values=np.array([1.0, 10.0, 100.0]))
     assert spec.value_at(31.6227766) == pytest.approx(31.6227766, rel=1e-6)
 
 
