@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -180,11 +181,13 @@ def _autocorr(y: np.ndarray, nfft: int) -> np.ndarray:
 _DOT_BLOCK = 8192
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """a @ b for two vectors, summed block by block in order: the same bits
-    for every BLAS thread count, and a @ b's bits up to one block."""
-    return sum((float(a[i:i + _DOT_BLOCK] @ b[i:i + _DOT_BLOCK])
-                for i in range(0, a.size, _DOT_BLOCK)), 0.0)
+def _dot(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
+    """a @ b for two vectors, or for each row of two (rows, n) arrays, summed
+    block by block in order: the same bits for every BLAS thread count, and
+    a @ b's bits up to one block. A stacked (1, k) @ (k, 1) matmul runs the
+    dot kernel of a lone vector pair, so each row's bits are its own _dot's."""
+    return sum(((a[..., None, i:i + _DOT_BLOCK] @ b[..., i:i + _DOT_BLOCK, None])[..., 0, 0]
+                for i in range(0, a.shape[-1], _DOT_BLOCK)), 0.0)
 
 
 def _prefix_sums(v: np.ndarray, hi: int) -> np.ndarray:
@@ -216,63 +219,92 @@ def _axis_msd(x: np.ndarray, lags: np.ndarray) -> np.ndarray:
     return (s1 - 2.0 * s2 + 2.0 * drift * net + drift * drift * (n - lags)) / (n - lags)
 
 
-def _var_cov(sums: np.ndarray, k: int) -> float:
+def _var_cov(sums: np.ndarray, k: int) -> np.ndarray:
     # covariance-structure estimator: for Gaussian increments the variance
     # of the time-averaged MSD is 2/K sum over offsets of squared
     # autocovariances of the lagged displacements, which vanish beyond the
-    # lag for uncorrelated steps. `sums` holds the displacements'
-    # autocorrelation sums at offsets below min(lag, K), from either path
-    # of `_axis_var`.
-    c = sums / (k - np.arange(sums.size))
-    return 2.0 / k * c[0] * c[0] + 4.0 / k * _dot(c[1:], c[1:])
+    # lag for uncorrelated steps. Each row of `sums` holds one axis's
+    # displacement autocorrelation sums at offsets below min(lag, K), from
+    # either path of `_msd_var`.
+    c = sums / (k - np.arange(sums.shape[-1]))
+    return 2.0 / k * c[:, 0] * c[:, 0] + 4.0 / k * _dot(c[:, 1:], c[:, 1:])
 
 
-def _axis_var(x: np.ndarray, lags: np.ndarray) -> np.ndarray:
-    # "cov" variance of one axis at each lag, from the autocorrelation sums
-    # S_m[j] = sum_t xi[t] xi[t+j] of the lag-m displacements
-    # xi = x[m:] - x[:-m].
+# float64 entries of one group's transform array at most: the lags that
+# share an FFT length are taken this many entries' worth at a time, so a
+# long walk with many lags near N/2 holds a few MB, not hundreds
+_GROUP_FLOATS = 1 << 18
+
+
+def _msd_var(cols: np.ndarray, lags: np.ndarray) -> np.ndarray:
+    # "cov" variance of every axis (column of `cols`) at each lag, shape
+    # (lags, axes), from the autocorrelation sums S_m[j] = sum_t xi[t] xi[t+j]
+    # of the lag-m displacements xi = x[m:] - x[:-m] of each axis x.
     #
     # Up to N/2, where j < m: xi is the steps s = diff(x) summed over a box
     # of m. Padded with the end values of x, the box sums run on to
     # E[e] = x[min(e+1, N-1)] - x[max(e-m+1, 0)] for e < N + m - 2, and
     # xi = E[m-1:N-1]. E's autocorrelation is the triangle-weighted sum
     # F[j] = sum_{|d|<m} (m - |d|) R(|j + d|) of the steps' autocorrelation
-    # R, one FFT per axis for every lag, and S_m is F less the products over
-    # E's first m - 1 entries (head) and its last m - 1 (tail: the head of
-    # the reversed trajectory). All three are correlations of vectors
-    # shorter than 3m, summed in one short FFT pair per lag: rows 0-1 of z
-    # give F, rows 2-3 the head and rows 4-5 the tail.
+    # R, one FFT pair for all axes and lags, and S_m is F less the products
+    # over E's first m - 1 entries (head) and its last m - 1 (tail: the head
+    # of the reversed trajectory). All three are correlations of vectors
+    # shorter than 3m, summed in one FFT pair of length nf(m), the next fast
+    # length from 3m - 2. The lags that share nf form a group, and its rows
+    # go through one rfft and one irfft, at most _GROUP_FLOATS entries at a
+    # time: per lag the triangle weights, the same on every axis, and per
+    # lag and axis R's window, the head and the tail. pocketfft transforms
+    # each row of a stacked array exactly as a lone row, so the sums are
+    # those of one axis and one lag at a time, bit for bit.
     #
     # Above N/2 the end products grow as large as F and the difference
     # loses precision (about 1e-8 relative near lag N - 1), so those lags
-    # correlate xi directly, one length-N FFT pair each.
-    n = x.size
-    out = np.empty(lags.size)
+    # correlate xi directly, one length-N FFT pair per lag for all axes.
+    n, n_ax = cols.shape
+    out = np.empty((lags.size, n_ax))
     n_half = int(np.searchsorted(lags, n // 2, side="right"))
     if n_half:
         hi = int(lags[n_half - 1])
-        nfft = _next_fast_len(n + 2 * hi - 3)
-        r = _autocorr(np.diff(x), nfft)[:2 * hi - 1]
-        r = np.concatenate((r[:0:-1], r))  # R(|o|) for o in [2 - 2 hi, 2 hi - 2]
-    for i, m in enumerate(lags[:n_half].tolist()):
-        nf = _next_fast_len(3 * m - 2)
-        z = np.zeros((6, nf))
-        z[0, :2 * m - 1] = m - np.abs(np.arange(1 - m, m))
-        z[1, :3 * m - 2] = r[2 * hi - 1 - m:2 * hi + 2 * m - 3]
-        for row, y in ((2, x), (4, x[::-1])):
-            e = z[row + 1, :2 * m - 2]
-            e[:] = y[1:2 * m - 1]
-            e[:m - 1] -= y[0]
-            e[m - 1:] -= y[:m - 1]
-            z[row, :m - 1] = e[:m - 1]
-        f = np.fft.rfft(z)
-        p = f[0].conj() * f[1]
-        p -= f[2].conj() * f[3]
-        p -= f[4].conj() * f[5]
-        out[i] = _var_cov(np.fft.irfft(p, nf)[:m], n - m)
+        r = _autocorr(np.diff(cols, axis=0).T, _next_fast_len(n + 2 * hi - 3))[:, :2 * hi - 1]
+        r = np.concatenate((r[:, :0:-1], r), axis=1)  # R(|o|) for o in [2 - 2 hi, 2 hi - 2]
+        # the first 2 hi - 1 values of each axis and of its reverse, led by
+        # hi - 1 copies of the first: pad[:, hi - 1 + e] = x[max(e, 0)], so
+        # that a head is one subtraction
+        pads = [np.concatenate((np.repeat(y[:, :1], hi - 1, axis=1), y[:, :2 * hi - 1]), axis=1)
+                for y in (cols.T, cols[::-1].T)]
+        low = lags[:n_half].tolist()
+        nfs = [_next_fast_len(3 * m - 2) for m in low]
+        i = 0
+        while i < n_half:
+            nf = nfs[i]
+            step = max(_GROUP_FLOATS // ((1 + 5 * n_ax) * nf), 1)
+            j = i + 1
+            while j < n_half and j - i < step and nfs[j] == nf:
+                j += 1
+            # row 0 of a lag: the triangle weights; rows 1-5 of an axis: R at
+            # offsets 1 - m to 2m - 2, then the short and full head and tail
+            z = np.zeros((j - i, 1 + 5 * n_ax, nf))
+            span = lags[i:j, None]
+            z[:, 0] = np.maximum(span - np.abs(np.arange(nf) - (span - 1)), 0)
+            za = z[:, 1:].reshape(j - i, n_ax, 5, nf)
+            for g, m in enumerate(low[i:j]):
+                za[g, :, 0, :3 * m - 2] = r[:, 2 * hi - 1 - m:2 * hi + 2 * m - 3]
+                for row, y in zip((1, 3), pads):
+                    e = za[g, :, row + 1, :2 * m - 2]
+                    np.subtract(y[:, hi:hi + 2 * m - 2], y[:, hi - m:hi + m - 2], out=e)
+                    za[g, :, row, :m - 1] = e[:, :m - 1]
+            f = np.fft.rfft(z)
+            fa = f[:, 1:].reshape(j - i, n_ax, 5, -1)
+            p = f[:, :1].conj() * fa[:, :, 0]
+            p -= fa[:, :, 1].conj() * fa[:, :, 2]
+            p -= fa[:, :, 3].conj() * fa[:, :, 4]
+            s = np.fft.irfft(p, nf)
+            for g, m in enumerate(low[i:j]):
+                out[i + g] = _var_cov(s[g, :, :m], n - m)
+            i = j
     nfft = _next_fast_len(n - 1)  # K + lag - 1 = n - 1
     for i, m in enumerate(lags[n_half:].tolist(), start=n_half):
-        out[i] = _var_cov(_autocorr(x[m:] - x[:-m], nfft)[:n - m], n - m)
+        out[i] = _var_cov(_autocorr((cols[m:] - cols[:-m]).T, nfft)[:, :n - m], n - m)
     return out
 
 
@@ -283,13 +315,15 @@ def msd(traj: Trajectory, axes: str = "xy", lags=None, variance: str = "cov",
     Every lag comes from one zero-padded FFT autocorrelation per axis
     (the all-lags algorithm of nMOLDYN, Kneller et al., Comput. Phys.
     Commun. 91, 191, 1995), so the MSD costs O(N log N) however many lags
-    are asked for. The "cov" variance of a lag up to N/2 adds one FFT pair
-    of under 3 times its length, all of them sharing one autocorrelation of
-    the steps per axis (measured against the per-offset loop: at most
-    1.4e-13 relative over 3,000 walks of up to 2,000 points); a lag above
-    N/2 adds one length-N FFT pair (see `_axis_var`). The MSD's FFT trades
-    the exact per-lag mean for round-off of about eps times the energy of
-    the axis about its least-squares line, per pair. On Brownian walks the
+    are asked for. The "cov" variance of a lag m up to N/2 adds FFT rows of
+    the next fast length from 3m - 2, all of them sharing one
+    autocorrelation of the steps per axis, and all the lags and axes whose
+    rows have one length share one transform pair (measured against the
+    per-offset loop: at most 1.4e-13 relative over 3,000 walks of up to
+    2,000 points); a lag above N/2 adds one length-N FFT pair shared by all
+    axes (see `_msd_var`). The MSD's FFT trades the exact per-lag mean for
+    round-off of about eps times the energy of the axis about its
+    least-squares line, per pair. On Brownian walks the
     relative error grows as about eps*N at lags up to N/4 (measured: at
     most 4e-13 over 3,000 walks of up to 2,000 points), and it is largest
     where few pairs remain, at lags near N (2e-8 at lag N - 1 of a
@@ -301,7 +335,7 @@ def msd(traj: Trajectory, axes: str = "xy", lags=None, variance: str = "cov",
     axes : str
         Subset of "xyz"; per-axis MSDs and variances add because the
         axes are uncorrelated.
-    lags : array of int, optional
+    lags : 1-D sequence of whole numbers, optional
         Lags in samples, each below N. Defaults to a log-spaced grid up to
         N/4; lags above N/2 warn (see above).
     variance : {"cov", "none"}
@@ -321,6 +355,12 @@ def msd(traj: Trajectory, axes: str = "xy", lags=None, variance: str = "cov",
     if lags is None:
         lag_arr = _default_lags(n)
     else:
+        if np.ndim(lags) != 1:
+            raise ValueError(f"lags must be a 1-D sequence, got shape {np.shape(lags)}")
+        if not (isinstance(lags, np.ndarray) and lags.dtype.kind in "iu"):
+            for v in lags.tolist() if isinstance(lags, np.ndarray) else lags:
+                if isinstance(v, bool) or not isinstance(v, numbers.Real) or v % 1 != 0:
+                    raise ValueError(f"lag {v!r} is not a whole number")
         lag_arr = np.unique(np.asarray(lags, dtype=int))
     if lag_arr.size == 0:
         raise ValueError("no lags requested")
@@ -337,11 +377,11 @@ def msd(traj: Trajectory, axes: str = "xy", lags=None, variance: str = "cov",
 
     m_out = np.zeros(lag_arr.size)
     v_out = np.zeros(lag_arr.size)
+    var = _msd_var(cols, lag_arr) if variance == "cov" else None
     for a in range(cols.shape[1]):
-        x = cols[:, a]
-        m_out += _axis_msd(x, lag_arr)
-        if variance == "cov":
-            v_out += _axis_var(x, lag_arr)
+        m_out += _axis_msd(cols[:, a], lag_arr)
+        if var is not None:
+            v_out += var[:, a]
     k_out = n - lag_arr
 
     if noise_floor_nm2 > 0:

@@ -11,6 +11,7 @@ from typing import NamedTuple
 
 import mpmath as mp
 import numpy as np
+from scipy.fft import next_fast_len
 
 KB = 1.380649e-23  # J/K
 
@@ -51,6 +52,59 @@ def naive_cov_variance(xi: np.ndarray, lag: int) -> float:
         cd = np.mean(xi[d:] * xi[:-d])
         v += 4.0 / k * cd * cd
     return v
+
+
+# the per-axis FFT kernel of the "cov" variance that `rheology.msd` ran
+# before it shared each transform pair across axes and lags, kept as the
+# bit-for-bit reference of the shared one: the same operations in the same
+# order, one axis and one lag at a time
+
+def _ref_autocorr(y: np.ndarray, nfft: int) -> np.ndarray:
+    spec = np.fft.rfft(y, nfft)
+    power = spec.real ** 2
+    power += spec.imag ** 2
+    return np.fft.irfft(power, nfft)
+
+
+def _ref_dot(a: np.ndarray, b: np.ndarray) -> float:
+    return sum((float(a[i:i + 8192] @ b[i:i + 8192]) for i in range(0, a.size, 8192)), 0.0)
+
+
+def _ref_var_cov(sums: np.ndarray, k: int) -> float:
+    c = sums / (k - np.arange(sums.size))
+    return 2.0 / k * c[0] * c[0] + 4.0 / k * _ref_dot(c[1:], c[1:])
+
+
+def reference_axis_var(x: np.ndarray, lags: np.ndarray) -> np.ndarray:
+    """"cov" variance of one axis at each of the sorted, distinct `lags`."""
+    n = x.size
+    out = np.empty(lags.size)
+    n_half = int(np.searchsorted(lags, n // 2, side="right"))
+    if n_half:
+        hi = int(lags[n_half - 1])
+        nfft = next_fast_len(n + 2 * hi - 3, real=True)
+        r = _ref_autocorr(np.diff(x), nfft)[:2 * hi - 1]
+        r = np.concatenate((r[:0:-1], r))  # R(|o|) for o in [2 - 2 hi, 2 hi - 2]
+    for i, m in enumerate(lags[:n_half].tolist()):
+        nf = next_fast_len(3 * m - 2, real=True)
+        z = np.zeros((6, nf))
+        z[0, :2 * m - 1] = m - np.abs(np.arange(1 - m, m))
+        z[1, :3 * m - 2] = r[2 * hi - 1 - m:2 * hi + 2 * m - 3]
+        for row, y in ((2, x), (4, x[::-1])):
+            e = z[row + 1, :2 * m - 2]
+            e[:] = y[1:2 * m - 1]
+            e[:m - 1] -= y[0]
+            e[m - 1:] -= y[:m - 1]
+            z[row, :m - 1] = e[:m - 1]
+        f = np.fft.rfft(z)
+        p = f[0].conj() * f[1]
+        p -= f[2].conj() * f[3]
+        p -= f[4].conj() * f[5]
+        out[i] = _ref_var_cov(np.fft.irfft(p, nf)[:m], n - m)
+    nfft = next_fast_len(n - 1, real=True)  # K + lag - 1 = n - 1
+    for i, m in enumerate(lags[n_half:].tolist(), start=n_half):
+        out[i] = _ref_var_cov(_ref_autocorr(x[m:] - x[:-m], nfft)[:n - m], n - m)
+    return out
 
 
 def ensemble_msd_variance(trajs, lags, axes: str = "xy"):

@@ -2,6 +2,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 from contextlib import nullcontext
 
 import numpy as np
@@ -24,6 +25,7 @@ from _oracles import (
     naive_cov_variance,
     naive_msd,
     naive_printed_variance,
+    reference_axis_var,
 )
 from test_golden import PINNED_WITH
 
@@ -147,6 +149,59 @@ def test_cov_variance_straddling_half(n):
     np.testing.assert_array_equal(low.var, curve.var[:5])
 
 
+@st.composite
+def walks_and_lag_runs(draw):
+    """A Gaussian random walk of 2..2,000 points on 1-3 axes, and lags in up
+    to four runs of up to 40 consecutive lags, so that lags with one FFT
+    length come together, with or without the five lags around N/2."""
+    n = draw(st.integers(2, 2000))
+    axes = draw(st.sampled_from(["x", "z", "xy", "yz", "xyz"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    drift = draw(st.sampled_from([0.0, 0.2, 5.0]))
+    pts = np.cumsum(scale * rng.normal(drift, 1.0, size=(n, 3)), axis=0)
+    lags = {1}
+    for start, length in draw(st.lists(st.tuples(st.integers(1, n - 1), st.integers(1, 40)),
+                                       max_size=4)):
+        lags.update(range(start, min(start + length, n)))
+    if draw(st.booleans()):
+        lags.update(m for m in range(n // 2 - 2, n // 2 + 3) if 1 <= m < n)
+    return Trajectory(dt=0.01, points=pts), axes, np.array(sorted(lags))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=walks_and_lag_runs())
+def test_cov_variance_equals_per_axis_kernel_bitwise(case):
+    # the variance shares each transform pair across axes and lags, but its
+    # bits are those of one axis and one lag at a time, added in axis order
+    traj, axes, lags = case
+    above_half = 2 * lags[-1] > traj.points.shape[0]
+    with pytest.warns(RuntimeWarning, match="above half") if above_half else nullcontext():
+        curve = rheology.msd(traj, axes=axes, lags=lags, variance="cov", noise_floor_nm2=0.0)
+    want = np.zeros(lags.size)
+    for a in axes:
+        want += reference_axis_var(traj.points[:, "xyz".index(a)], lags)
+    np.testing.assert_array_equal(curve.var, want)
+
+
+def test_cov_variance_memory_stays_within_its_groups():
+    # every lag up to N/2 of a 2,000-point walk: the lags near N/2 that share
+    # an FFT length would make one group array of about 11 MB on three axes;
+    # taken _GROUP_FLOATS entries at a time, the variance's working memory is
+    # that array, its rfft, the products and the irfft, about 4 such arrays
+    traj = random_walk(n=2000, seed=9)
+    lags = np.arange(1, 1001)
+    peaks = {}
+    for variance in ("none", "cov"):
+        tracemalloc.start()
+        try:
+            rheology.msd(traj, axes="xyz", lags=lags, variance=variance)
+            peaks[variance] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["cov"] < peaks["none"] + 4 * 8 * rheology._GROUP_FLOATS
+
+
 def test_msd_printed_form_biased_high():
     # the literal mean-of-squared-products estimator overshoots the
     # covariance form at multi-sample lags
@@ -182,6 +237,24 @@ def test_msd_validation():
         rheology.msd(traj, lags=[50])
     with pytest.raises(ValueError):
         rheology.msd(traj, lags=[1], variance="bogus")
+
+
+@pytest.mark.parametrize("lags, message", [
+    ([1.5, 2.7], "lag 1.5 is not a whole number"),
+    ([True, 2], "lag True is not a whole number"),
+    (np.array([1.0, np.nan]), "lag nan is not a whole number"),
+    (["3"], "lag '3' is not a whole number"),
+    ([[1, 2], [3, 4]], r"lags must be a 1-D sequence, got shape \(2, 2\)"),
+    (4, r"lags must be a 1-D sequence, got shape \(\)"),
+])
+def test_msd_rejects_lags_that_are_not_whole_numbers(lags, message):
+    with pytest.raises(ValueError, match=message):
+        rheology.msd(random_walk(n=50), lags=lags)
+
+
+def test_msd_takes_whole_numbers_of_any_numeric_type_as_lags():
+    curve = rheology.msd(random_walk(n=50), lags=[1, 2.0, np.float64(3.0), np.int32(4)])
+    np.testing.assert_array_equal(curve.n_samples, [49, 48, 47, 46])
 
 
 @pytest.mark.filterwarnings("error")
