@@ -20,6 +20,7 @@ from functools import partial
 import numpy as np
 
 from . import chip, media, odmr, rheology, segmentation, tracker
+from ._numeric import whole_units
 from ._table import read_table, write_table
 from .constants import celsius_to_kelvin
 from .seeding import substream
@@ -146,12 +147,6 @@ def _master_seed(cfg: dict, args) -> int:
     return seed
 
 
-def _out_dir(args) -> str:
-    out = args.out_dir or "."
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
 def _write_json(obj: dict, path: str) -> None:
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
@@ -231,7 +226,7 @@ def _viscous_model(med: dict) -> media.ViscousMediumModel:
                                        for key, field in _VISCOUS_FIELDS.items()})
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> tuple[dict, str]:
     cfg = load_config(args.config)
     seed = _master_seed(cfg, args)
     tr_cfg = cfg.get("tracker", {})
@@ -251,8 +246,6 @@ def cmd_simulate(args) -> int:
     truth = _simulate_truth(cfg, seed)
     duration_s = cfg["simulate"]["duration_s"]
 
-    # every output is computed before the first is written, so a failed
-    # run leaves no files behind; each value writes one file
     outputs = {"truth.csv": truth.to_csv}
 
     if tr_cfg.get("enabled", False):
@@ -286,11 +279,7 @@ def cmd_simulate(args) -> int:
                 _SHIFT_COLUMNS, (series.times, series.delta_f, series.sigma))])
         outputs["temperature.csv"] = odmr.shift_series_to_temperature(series, cal).to_csv
 
-    out = _out_dir(args)
-    for name, write in outputs.items():
-        write(os.path.join(out, name))
-    print("wrote " + ", ".join(outputs))
-    return 0
+    return outputs, "wrote " + ", ".join(outputs)
 
 
 # ----------------------------------------------------------------- analyze
@@ -308,10 +297,7 @@ def _read_input(reader, path, *args):
 
 def _fit_D(traj: Trajectory, an: dict):
     n = traj.points.shape[0]
-    # a max_lag_s of whole steps can divide to just below the integer
-    # (2.3 / 0.1 = 22.999999999999996), so the quotient gets the relative
-    # slack of `odmr.bin_count`
-    max_lag = max(int(an.get("max_lag_s", 50 * traj.dt) / traj.dt * (1.0 + 1e-9)), 2)
+    max_lag = max(whole_units(an.get("max_lag_s", 50 * traj.dt), traj.dt), 2)
     # the default 50 lags stop at half the trajectory, above which `msd` warns
     top = n - 1 if "max_lag_s" in an else max(n // 2, 2)
     lags = np.arange(1, min(max_lag, top, n - 1) + 1)
@@ -335,7 +321,7 @@ def _allan(series):
                                columns=[("tau_s", taus, "%.6f"), ("adev_C", adev, "%.6e")])
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> tuple[dict, str]:
     cfg = load_config(args.config)
     an = cfg.get("analysis", {})
     force_on = an.get("force", {}).get("enabled", False)
@@ -367,8 +353,6 @@ def cmd_analyze(args) -> int:
     summary["n_points"] = int(traj.points.shape[0])
     summary["duration_s"] = round(traj.duration, 9)
 
-    # every output is computed before the first is written, so a value the
-    # models reject against the data leaves no files behind
     curve, dfit = _fit_D(traj, an)
     outputs = {"msd.csv": curve.to_csv}
     summary["D_nm2_per_s"] = [dfit.D, dfit.sigma]
@@ -438,16 +422,12 @@ def cmd_analyze(args) -> int:
         summary["kappa_khz_per_C"] = [cal.kappa_khz_per_C, cal.sigma_khz_per_C]
 
     outputs["summary.json"] = partial(_write_json, summary)
-    out = _out_dir(args)
-    for name, write in outputs.items():
-        write(os.path.join(out, name))
-    print(json.dumps(summary, indent=2, sort_keys=True))
-    return 0
+    return outputs, json.dumps(summary, indent=2, sort_keys=True)
 
 
 # ------------------------------------------------------- small subcommands
 
-def cmd_crb(args) -> int:
+def cmd_crb(args) -> tuple[dict, str]:
     od = load_config(args.config).get("odmr", {})
     lam0 = od.get("lam0", odmr.DEFAULT_PHOTON_BUDGET)
     kappa = od.get("kappa_khz_per_C", odmr.DEFAULT_KAPPA_KHZ_PER_C)
@@ -457,36 +437,29 @@ def cmd_crb(args) -> int:
     result = {"sensitivity_C_per_sqrtHz": sens,
               "shift_sigma_hz_per_scan": per_scan,
               "lam0": lam0, "kappa_khz_per_C": kappa}
-    _write_json(result, os.path.join(_out_dir(args), "crb.json"))
-    print(f"CRB sensitivity: {sens:.3f} C/sqrt(Hz) "
-          f"(shift bound {per_scan / 1e3:.1f} kHz/scan)")
-    return 0
+    return {"crb.json": partial(_write_json, result)}, (
+        f"CRB sensitivity: {sens:.3f} C/sqrt(Hz) (shift bound {per_scan / 1e3:.1f} kHz/scan)")
 
 
-def cmd_allan(args) -> int:
-    series = _read_temperature(args.input)
-    taus, adev, write = _allan(series)
-    write(os.path.join(_out_dir(args), "allan.csv"))
+def cmd_allan(args) -> tuple[dict, str]:
+    taus, adev, write = _allan(_read_temperature(args.input))
     if (adev > 0).any():
-        sens = odmr.allan_sensitivity(taus, adev)
-        print(f"Allan sensitivity: {sens:.3f} C/sqrt(Hz)")
+        message = f"Allan sensitivity: {odmr.allan_sensitivity(taus, adev):.3f} C/sqrt(Hz)"
     else:
-        print("Allan deviation contains zeros (constant input?)")
-    return 0
+        message = "Allan deviation contains zeros (constant input?)"
+    return {"allan.csv": write}, message
 
 
-def cmd_gamma_null(args) -> int:
+def cmd_gamma_null(args) -> tuple[dict, str]:
     null = segmentation.gamma_null(N=args.n, M=args.m,
                                    confidence=args.confidence)
-    out = _out_dir(args)
-    write_table(os.path.join(out, "gamma_null.csv"),
-                [("gamma", null.gammas, "%.6f"), ("pdf", null.pdf, "%.6e")])
-    _write_json({"N": null.N, "M": null.M, "confidence": null.confidence,
-                 "critical_gamma": null.critical_gamma},
-                os.path.join(out, "gamma_null.json"))
-    print(f"critical gamma = {null.critical_gamma:.4f} "
-          f"(N={null.N}, M={null.M}, {100 * null.confidence:.0f}%)")
-    return 0
+    table = [("gamma", null.gammas, "%.6f"), ("pdf", null.pdf, "%.6e")]
+    result = {"N": null.N, "M": null.M, "confidence": null.confidence,
+              "critical_gamma": null.critical_gamma}
+    return {"gamma_null.csv": partial(write_table, columns=table),
+            "gamma_null.json": partial(_write_json, result)}, (
+        f"critical gamma = {null.critical_gamma:.4f} "
+        f"(N={null.N}, M={null.M}, {100 * null.confidence:.0f}%)")
 
 
 # -------------------------------------------------------------------- main
@@ -528,7 +501,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # a command computes every output before main writes the first, so a
+        # failed run leaves no files behind; each output's value writes one file
+        outputs, message = args.func(args)
+        out = args.out_dir or "."
+        os.makedirs(out, exist_ok=True)
+        for name, write in outputs.items():
+            write(os.path.join(out, name))
+        print(message)
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._numeric import dot, weighted_line, whole_units
 from ._table import read_table, write_table
 from .chip import DutyCycleSchedule
 from .seeding import as_generator
@@ -206,16 +207,6 @@ _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 _CHUNK_ROWS = 128
 
 
-def _rowdot(a, b):
-    """Dot product of each row of a with the same row of b.
-
-    A stacked (1, n) @ (n, 1) matmul runs the same dot kernel as `np.dot`
-    on one pair of vectors, so each row's sum is bit-identical to it;
-    `(a * b).sum(1)` would add in another order.
-    """
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-
-
 def _minimize_bounded(func, n: int, lo: float, hi: float):
     """Bounded Brent minimization of n independent scalar functions at once.
 
@@ -308,7 +299,7 @@ def _minimize_bounded(func, n: int, lo: float, hi: float):
 def _levels_and_lam0(counts, freqs, shape: Lineshape, delta_f):
     """Lineshape levels at each row's shift and the closed-form amplitude."""
     lv = shape.value(freqs, delta_f[:, None])
-    return lv, _rowdot(counts, lv) / _rowdot(lv, lv)
+    return lv, dot(counts, lv) / dot(lv, lv)
 
 
 def fit_shifts(counts, freqs, shape: Lineshape, max_shift: float | None = None):
@@ -357,7 +348,7 @@ def fit_shifts(counts, freqs, shape: Lineshape, max_shift: float | None = None):
             lv, lam0 = _levels_and_lam0(c, freqs, shape, delta_f[part])
             lv *= lam0[:, None]
             c -= lv
-            out[part] = _rowdot(c, c)
+            out[part] = dot(c, c)
         return out
 
     delta_f, ok = _minimize_bounded(sse, n, -max_shift, max_shift)
@@ -372,11 +363,11 @@ def fit_shifts(counts, freqs, shape: Lineshape, max_shift: float | None = None):
         lv, a = _levels_and_lam0(c, freqs, shape, delta_f[rows])
         j2 = -a[:, None] * shape.derivative(freqs, delta_f[rows, None])
         jtj = np.empty((a.size, 2, 2))
-        jtj[:, 0, 0] = _rowdot(lv, lv)
-        jtj[:, 0, 1] = jtj[:, 1, 0] = _rowdot(lv, j2)
-        jtj[:, 1, 1] = _rowdot(j2, j2)
+        jtj[:, 0, 0] = dot(lv, lv)
+        jtj[:, 0, 1] = jtj[:, 1, 0] = dot(lv, j2)
+        jtj[:, 1, 1] = dot(j2, j2)
         r = c - a[:, None] * lv
-        s2 = _rowdot(r, r) / max(freqs.size - 2, 1)
+        s2 = dot(r, r) / max(freqs.size - 2, 1)
         try:
             inv = np.linalg.inv(jtj)
         except np.linalg.LinAlgError:
@@ -493,13 +484,7 @@ def calibrate_kappa(temps_C, delta_f_hz, sigma_hz=None) -> KappaCalibration:
             raise ValueError("single-sample level without a provided sigma")
     if (errs <= 0).any():
         errs = np.where(errs <= 0, max(errs.max(), 1.0), errs)
-    w = 1.0 / errs ** 2
-    sw = w.sum()
-    tm = np.sum(w * levels) / sw
-    ym = np.sum(w * means) / sw
-    sxx = np.sum(w * (levels - tm) ** 2)
-    slope = float(np.sum(w * (levels - tm) * (means - ym)) / sxx)
-    sigma_slope = float(1.0 / np.sqrt(sxx))
+    slope, sigma_slope, _, _ = weighted_line(levels, means, 1.0 / errs ** 2)
     return KappaCalibration(kappa_khz_per_C=slope / 1e3,
                             sigma_khz_per_C=sigma_slope / 1e3)
 
@@ -576,13 +561,8 @@ def scans_per_bin(bin_s: float, n_points: int) -> int:
 
 
 def bin_count(duration_s: float, bin_s: float) -> int:
-    """Whole bins of `bin_s` in `duration_s`; raises if there is not one.
-
-    A duration of whole bins can divide to just below the integer
-    (68.8 / 0.4 = 171.99999999999997), so the quotient is given 1e-9 of
-    relative slack before it is truncated.
-    """
-    n_bins = int(duration_s / bin_s * (1.0 + 1e-9))
+    """Whole bins of `bin_s` in `duration_s`; raises if there is not one."""
+    n_bins = whole_units(duration_s, bin_s)
     if n_bins < 1:
         raise ValueError("duration shorter than one bin")
     return n_bins

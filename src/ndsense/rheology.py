@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from ._numeric import dot, weighted_line
 from ._table import write_table
 from .constants import BOLTZMANN_J_PER_K, _NM_SCALE, celsius_to_kelvin
 from .media import ViscousMediumModel, stokes_einstein_D, viscosity_at
@@ -175,21 +176,6 @@ def _autocorr(y: np.ndarray, nfft: int) -> np.ndarray:
     return np.fft.irfft(power, nfft)
 
 
-# OpenBLAS splits a dot product of over 10,000 entries across its threads,
-# so the order of its sum, and the last bits of the result, follow the
-# thread count; blocks of at most this many entries each run on one thread
-_DOT_BLOCK = 8192
-
-
-def _dot(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
-    """a @ b for two vectors, or for each row of two (rows, n) arrays, summed
-    block by block in order: the same bits for every BLAS thread count, and
-    a @ b's bits up to one block. A stacked (1, k) @ (k, 1) matmul runs the
-    dot kernel of a lone vector pair, so each row's bits are its own _dot's."""
-    return sum(((a[..., None, i:i + _DOT_BLOCK] @ b[..., i:i + _DOT_BLOCK, None])[..., 0, 0]
-                for i in range(0, a.shape[-1], _DOT_BLOCK)), 0.0)
-
-
 def _prefix_sums(v: np.ndarray, hi: int) -> np.ndarray:
     """Sums of the first 0..hi entries of ``v``."""
     return np.concatenate(([0.0], np.cumsum(v[:hi])))
@@ -207,7 +193,7 @@ def _axis_msd(x: np.ndarray, lags: np.ndarray) -> np.ndarray:
     hi = int(lags[-1])
     t = np.arange(n) - 0.5 * (n - 1)
     y = x - x.mean()
-    slope = _dot(t, y) / _dot(t, t)
+    slope = dot(t, y) / dot(t, t)
     y -= slope * t
     nfft = _next_fast_len(n + hi)
     s2 = _autocorr(y, nfft)[lags]
@@ -227,7 +213,7 @@ def _var_cov(sums: np.ndarray, k: int) -> np.ndarray:
     # displacement autocorrelation sums at offsets below min(lag, K), from
     # either path of `_msd_var`.
     c = sums / (k - np.arange(sums.shape[-1]))
-    return 2.0 / k * c[:, 0] * c[:, 0] + 4.0 / k * _dot(c[:, 1:], c[:, 1:])
+    return 2.0 / k * c[:, 0] * c[:, 0] + 4.0 / k * dot(c[:, 1:], c[:, 1:])
 
 
 # float64 entries of one group's transform array at most: the lags that
@@ -352,22 +338,24 @@ def msd(traj: Trajectory, axes: str = "xy", lags=None, variance: str = "cov",
     """
     cols = traj.axis(axes)
     n = cols.shape[0]
-    if lags is None:
-        lag_arr = _default_lags(n)
-    else:
-        if np.ndim(lags) != 1:
-            raise ValueError(f"lags must be a 1-D sequence, got shape {np.shape(lags)}")
-        if not (isinstance(lags, np.ndarray) and lags.dtype.kind in "iu"):
-            for v in lags.tolist() if isinstance(lags, np.ndarray) else lags:
-                if isinstance(v, bool) or not isinstance(v, numbers.Real) or v % 1 != 0:
-                    raise ValueError(f"lag {v!r} is not a whole number")
-        lag_arr = np.unique(np.asarray(lags, dtype=int))
+    lag_arr = _default_lags(n) if lags is None else lags
+    if np.ndim(lag_arr) != 1:
+        raise ValueError(f"lags must be a 1-D sequence, got shape {np.shape(lags)}")
+    if not (isinstance(lag_arr, np.ndarray) and lag_arr.dtype.kind in "iu"):
+        values = lag_arr.tolist() if isinstance(lag_arr, np.ndarray) else lag_arr
+        for v in values:
+            if isinstance(v, bool) or not isinstance(v, numbers.Real) or v % 1 != 0:
+                raise ValueError(f"lag {v!r} is not a whole number")
+        # kept as Python numbers until the range is checked: the int
+        # conversion overflows beyond int64
+        lag_arr = np.array(values, dtype=object)
     if lag_arr.size == 0:
         raise ValueError("no lags requested")
-    if lag_arr[0] < 1:
+    if lag_arr.min() < 1:
         raise ValueError("lags must be >= 1 sample")
-    if lag_arr[-1] >= n:
-        raise ValueError(f"lag {lag_arr[-1]} >= trajectory length {n}")
+    if lag_arr.max() >= n:
+        raise ValueError(f"lag {int(lag_arr.max())} >= trajectory length {n}")
+    lag_arr = np.unique(lag_arr.astype(int))
     if 2 * lag_arr[-1] > n:
         warnings.warn(f"lag {lag_arr[-1]} is above half the trajectory length {n}; "
                       "the MSD there rests on few pairs and loses relative accuracy",
@@ -455,17 +443,11 @@ def anomalous_exponent(curve: MsdCurve, fit_range=None) -> ExponentFit:
     y = np.log(vals)
     # delta method: var(log m) = var(m)/m^2
     w = np.where(var > 0, vals ** 2 / np.where(var > 0, var, 1.0), 1.0)
-    sw = np.sum(w)
-    xm = np.sum(w * x) / sw
-    ym = np.sum(w * y) / sw
-    sxx = np.sum(w * (x - xm) ** 2)
-    slope = float(np.sum(w * (x - xm) * (y - ym)) / sxx)
-    if (var > 0).all():
-        sig = float(1.0 / np.sqrt(sxx))
-    else:
-        resid = y - ym - slope * (x - xm)
+    slope, sig, xc, yc = weighted_line(x, y, w)
+    if not (var > 0).all():
+        resid = yc - slope * xc
         dof = max(taus.size - 2, 1)
-        sig = float(np.sqrt(np.sum(resid ** 2) / dof / np.sum((x - xm) ** 2)))
+        sig = float(np.sqrt(np.sum(resid ** 2) / dof / np.sum(xc ** 2)))
     return ExponentFit(alpha=slope, sigma=sig)
 
 

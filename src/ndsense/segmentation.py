@@ -17,6 +17,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import rheology
+from ._numeric import dot
 from ._table import write_table
 from .trajectory import Trajectory
 
@@ -225,7 +226,7 @@ def _window_gammas(pos: np.ndarray, n_steps: int) -> np.ndarray:
     path = sliding_window_view(np.linalg.norm(np.diff(pos, axis=0), axis=1),
                                n_steps).sum(axis=1)
     ends = pos[n_steps:] - pos[:-n_steps]
-    disp = np.sqrt((ends[:, None, :] @ ends[:, :, None]).ravel())
+    disp = np.sqrt(dot(ends, ends))
     gammas = np.full(path.size, np.nan)
     np.divide(disp, path, out=gammas, where=path != 0.0)
     return gammas

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._numeric import dot
 from ._table import write_table
 from .chip import CLOCK_S
 from .seeding import as_generator
@@ -291,7 +292,7 @@ def track(truth: Trajectory, cfg: TrackerConfig, brightness: float, seed,
     times = truth.t0 + cfg.T_orbit * (1 + np.arange(n_orbits))
     d = est - np.column_stack([np.interp(times, tt, tp[:, i]) for i in range(3)])
     # bit for bit the per-row np.linalg.norm; norm(axis=1) differs in the last bit
-    resid = np.sqrt((d[:, None, :] @ d[:, :, None]).ravel())
+    resid = np.sqrt(dot(d, d))
     locked = ~(resid > 3.0 * cfg.w_xy)
     # loss is declared at the fifth update of the first run of 5 unlocked ones
     lost = np.flatnonzero(np.convolve(~locked, np.ones(5, int))[:n_orbits] == 5)
@@ -309,8 +310,6 @@ class BenchmarkRow:
     rms_error_nm: float      # 3D RMS residual
     msd1_xy_nm2: float       # transverse MSD at one update lag
     apparent_D_xy: float     # msd1_xy/(4*T_orbit), nm^2/s
-    apparent_D_z: float      # axial analogue, nm^2/s
-    psd: object              # PsdCurve of the transverse estimate
 
 
 def static_benchmark(brightness_list, cfg: TrackerConfig, seed,
@@ -320,8 +319,6 @@ def static_benchmark(brightness_list, cfg: TrackerConfig, seed,
     Apparent diffusion comes entirely from localization noise, so it
     scales inversely with the photoluminescence rate.
     """
-    from . import rheology  # local import to keep module load light
-
     rng = as_generator(seed)
     duration = (n_updates + 1) * cfg.T_orbit
     truth = Trajectory(dt=duration, points=np.zeros((2, 3)))
@@ -333,18 +330,12 @@ def static_benchmark(brightness_list, cfg: TrackerConfig, seed,
         pts = est.points[10:]  # drop acquisition transient
         rms = float(np.sqrt((pts ** 2).sum(axis=1).mean()))
         d_xy = np.diff(pts[:, :2], axis=0)
-        d_z = np.diff(pts[:, 2])
         msd1_xy = float((d_xy ** 2).sum(axis=1).mean())
-        msd1_z = float((d_z ** 2).mean())
-        window = min(2.0, est.duration / 4)
-        curve = rheology.psd(est, axes="xy", window_s=window)
         rows.append(BenchmarkRow(
             brightness=float(b),
             counts_per_update=2.0 * eff_b * cfg.T_orbit if not noise_free else float("inf"),
             rms_error_nm=rms,
             msd1_xy_nm2=msd1_xy,
             apparent_D_xy=msd1_xy / (4.0 * cfg.T_orbit),
-            apparent_D_z=msd1_z / (2.0 * cfg.T_orbit),
-            psd=curve,
         ))
     return rows

@@ -246,7 +246,11 @@ def test_msd_validation():
     (["3"], "lag '3' is not a whole number"),
     ([[1, 2], [3, 4]], r"lags must be a 1-D sequence, got shape \(2, 2\)"),
     (4, r"lags must be a 1-D sequence, got shape \(\)"),
+    ([2 ** 63], "lag 9223372036854775808 >= trajectory length 50"),
+    ([1e20], "lag 100000000000000000000 >= trajectory length 50"),
+    (np.array([1e20]), "lag 100000000000000000000 >= trajectory length 50"),
 ])
+@pytest.mark.filterwarnings("error")
 def test_msd_rejects_lags_that_are_not_whole_numbers(lags, message):
     with pytest.raises(ValueError, match=message):
         rheology.msd(random_walk(n=50), lags=lags)
@@ -289,14 +293,28 @@ for seed in range(8):
     print(curve.msd.tobytes().hex(), curve.var.tobytes().hex())
 """
 
+# prints the shift and sigma bits of a 3-row fit on a 20,000-point grid, whose
+# row dot products are of over 10,000 entries
+_FIT_SHIFTS_BITS = """
+import numpy as np
+from ndsense import odmr
+freqs = odmr.default_grid(n_points=20_000)
+shape = odmr.default_lineshape()
+counts = odmr.synthesize_scan(shape, 10.0, np.array([[0.0], [2e5], [-5e5]]), 0, freqs)
+delta_f, _, sigma, _ = odmr.fit_shifts(counts, freqs, shape)
+print(delta_f.tobytes().hex(), sigma.tobytes().hex())
+"""
 
-def test_msd_bits_do_not_follow_blas_threads():
+
+@pytest.mark.parametrize("program, n_lines", [(_MSD_BITS, 8), (_FIT_SHIFTS_BITS, 1)],
+                         ids=["msd", "fit_shifts"])
+def test_msd_bits_do_not_follow_blas_threads(program, n_lines):
     src = str(pathlib.Path(rheology.__file__).resolve().parents[1])
-    runs = [subprocess.run([sys.executable, "-c", _MSD_BITS], capture_output=True, text=True,
+    runs = [subprocess.run([sys.executable, "-c", program], capture_output=True, text=True,
                            check=True, env=dict(os.environ, PYTHONPATH=src,
                                                 OPENBLAS_NUM_THREADS=threads)).stdout
             for threads in ("1", "2")]
-    assert runs[0].count("\n") == 8
+    assert runs[0].count("\n") == n_lines
     assert runs[0] == runs[1]
 
 
