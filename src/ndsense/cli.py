@@ -297,7 +297,9 @@ def _read_input(reader, path, *args):
 
 def _fit_D(traj: Trajectory, an: dict):
     n = traj.points.shape[0]
-    max_lag = max(whole_units(an.get("max_lag_s", 50 * traj.dt), traj.dt), 2)
+    # capped at the trajectory length, so that a huge max_lag_s divides to no inf
+    max_lag_s = min(an.get("max_lag_s", 50 * traj.dt), n * traj.dt)
+    max_lag = max(whole_units(max_lag_s, traj.dt), 2)
     # the default 50 lags stop at half the trajectory, above which `msd` warns
     top = n - 1 if "max_lag_s" in an else max(n // 2, 2)
     lags = np.arange(1, min(max_lag, top, n - 1) + 1)

@@ -142,14 +142,36 @@ def _orbit_pieces(truth: Trajectory, tt, cfg: TrackerConfig, k0: int, k1: int):
     return orbit, i0, i1, a, v
 
 
+def _poisson_counts(rng, lam):
+    """Independent Poisson counts with the means `lam` of one orbit's bins and planes.
+
+    One Poisson total of the summed mean is split over the shares lam/total
+    by one multinomial draw. Independent Poisson counts, given their sum,
+    are multinomial with these shares, and their sum is Poisson with the
+    summed mean, so this is exact in distribution. A summed mean or a drawn
+    total of 0 is a dark orbit: all zeros, and no shares are formed.
+    """
+    total = lam.sum()
+    # a negative or NaN mean still raises ValueError in the draws
+    n = rng.poisson(total) if total != 0.0 else 0
+    if n == 0:
+        return np.zeros(lam.shape, dtype=np.int64)
+    return rng.multinomial(n, (lam / total).ravel()).reshape(lam.shape)
+
+
+@np.errstate(under="ignore")  # a far emitter's rates underflow to 0: a dark orbit
 def track(truth: Trajectory, cfg: TrackerConfig, brightness: float, seed,
           modulation=None, initial_offset=(0.0, 0.0, 0.0), shot_noise: bool = True):
     """Run the closed feedback loop against a moving ground-truth emitter.
 
     Each orbit sums the expected per-tick counts of each plane into the
-    angular bins and draws one Poisson count per bin and plane. A sum of
-    independent Poisson variables is Poisson with the summed mean, so this
-    is exact in distribution for per-tick photon counting. The bins are fitted
+    angular bins. A sum of independent Poisson variables is Poisson with the
+    summed mean, so one Poisson count per bin and plane is exact in
+    distribution for per-tick photon counting. `_poisson_counts` draws those
+    counts as one Poisson total split over the bins and planes by one
+    multinomial draw, which is exact too and costs less than one
+    `rng.poisson` over the (2, n_bins) array of means; an orbit whose summed
+    mean underflows to 0, or whose drawn total is 0, is dark. The bins are fitted
     to I'(1 + delta*cos(theta - phi)) by their first Fourier moments; the
     center moves gain*delta*eps_xy toward phi and gain*eps_z*(r - G)/(r*G - 1)
     axially, r = (bottom - top)/total. An orbit without photons holds still.
@@ -271,7 +293,7 @@ def track(truth: Trajectory, cfg: TrackerConfig, brightness: float, seed,
             if modulation is not None:
                 lam *= mod[j]
             lam = amp * lam.reshape(2, nb, -1).sum(axis=2)
-            counts = rng.poisson(lam) if shot_noise else lam
+            counts = _poisson_counts(rng, lam) if shot_noise else lam
             (s_top, a_top, b_top), (s_bot, a_bot, b_bot) = (counts @ moments).tolist()
             s = s_top + s_bot
             if s > 0:

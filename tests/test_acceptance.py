@@ -23,6 +23,14 @@ def _verdict(num, name, ok, detail):
     assert ok, f"criterion {num:02d} {name}: {detail}"
 
 
+def _over_seeds(trial, k):
+    """Mean of `trial(seed)` over master seeds 1..k: the rate of a random
+    verdict, or the mean of a random quantity, scored over seeds instead of
+    at one, so that a change of the draws that is exact in distribution
+    re-rolls no verdict."""
+    return float(np.mean([trial(seed) for seed in range(1, k + 1)]))
+
+
 def _flat_curve(taus, vals):
     n = taus.size
     return rheology.MsdCurve(taus=taus, msd=vals, var=np.zeros(n), dims="xy",
@@ -47,6 +55,21 @@ def test_criterion_01_shot_noise_slope():
 
 # 2 ------------------------------------------------------------------------
 
+# Lock loss at D = 5e5 nm^2/s over 400 orbits is a random event. With one
+# Poisson draw per bin and plane the tracker lost lock on 796 of master seeds
+# 1-1000; the accepted rate over LOCK_LOSS_SEEDS seeds is that rate +- 5 sd of
+# a 200-seed rate (0.654-0.938), widened to round numbers.
+LOCK_LOSS_SEEDS = 200
+LOCK_LOSS_RATE = (0.65, 0.95)
+
+
+def _loses_lock_at_5e5(seed):
+    truth = media.simulate_brownian(5e5, 400, 9.6e-3, seed=substream(seed, "medium", 500000))
+    _, diag = tracker.track(truth, tracker.TrackerConfig(), 2e6,
+                            substream(seed, "tracker-photons", 500000))
+    return diag.lock_lost
+
+
 def test_criterion_02_dynamic_recovery():
     start = time.monotonic()
     cfg = tracker.TrackerConfig()
@@ -63,16 +86,15 @@ def test_criterion_02_dynamic_recovery():
         curve = rheology.msd(est, axes="xy", lags=np.arange(2, 51))
         ratios[D] = rheology.fit_diffusion(curve).D / D
 
-    truth = media.simulate_brownian(5e5, 400, 9.6e-3,
-                                    seed=substream(103, "medium", 500000))
-    _, diag = tracker.track(truth, cfg, 2e6,
-                            substream(103, "tracker-photons", 500000))
+    loss_rate = _over_seeds(_loses_lock_at_5e5, LOCK_LOSS_SEEDS)
     elapsed = time.monotonic() - start
+    lo, hi = LOCK_LOSS_RATE
     ok = all(abs(r - 1.0) <= 0.10 for r in ratios.values()) \
-        and diag.lock_lost and elapsed < 300.0
+        and lo <= loss_rate <= hi and elapsed < 300.0
     detail = " ".join(f"D={d:g}:{r:.3f}" for d, r in ratios.items())
     _verdict(2, "dynamic D recovery", ok,
-             f"{detail} lock_lost@5e5={diag.lock_lost} {elapsed:.0f}s")
+             f"{detail} lock lost@5e5 on {loss_rate:.3f} of {LOCK_LOSS_SEEDS} seeds "
+             f"vs {lo}-{hi} {elapsed:.0f}s")
 
 
 # 3 ------------------------------------------------------------------------

@@ -591,6 +591,24 @@ def test_analyze_default_lags_stop_at_half_the_trajectory(tmp_path):
     assert taus.size == 23 and taus[-1] == pytest.approx(2.3)
 
 
+def test_analyze_max_lag_far_beyond_the_trajectory(tmp_path):
+    # 1e308 s passes the positive-number rule; it must ask for every lag, as
+    # ten times the duration does, and not overflow on the way
+    cfg = brownian_cfg(duration=2.0)
+    path = write_config(tmp_path / "cfg.json", cfg)
+    assert cli.main(["simulate", "--config", path, "--out-dir", str(tmp_path)]) == 0
+    written = {}
+    for max_lag_s in (1e308, 10 * 2.0):
+        cfg["analysis"] = {"max_lag_s": max_lag_s}
+        path = write_config(tmp_path / "cfg.json", cfg)
+        out = tmp_path / f"lag-{max_lag_s:g}"
+        with pytest.warns(RuntimeWarning, match="above half"):
+            assert cli.main(["analyze", "--config", path, "--traj", str(tmp_path / "truth.csv"),
+                             "--out-dir", str(out)]) == 0
+        written[max_lag_s] = (out / "msd.csv").read_bytes()
+    assert written[1e308] == written[20.0]
+
+
 def test_analyze_radius_fit(tmp_path):
     cfg = {"schema_version": 1, "seed": 59,
            "medium": {"kind": "viscous", "eta0_pa_s": 0.301,

@@ -50,25 +50,25 @@ GOLDEN = {
         "allan.csv":
             "26232c8eb15572a2dc8b1a454a672ba458f00b7c975c668dad8bea765f38f249",
         "diagnostics.csv":
-            "25bf39edcb8037845f543b862ca6218a6a6c10b8627960ae5992ddde1700a412",
+            "0fdf9b76c3602b40c26edaa1743688f715d0001086e3000d79cf0a527da99c85",
         "estimate.csv":
-            "50b154ffbf3ff88e33443053835547ddc5d17759d13a93abc1b12e577419cf52",
+            "e89c9b65ae9e618195f5e617ea21b698c1bd0163a76d65408700e5a014774269",
         "force.csv":
-            "ccbe2a57a42252a8acd9549127c4af8788909fc7e7a919671e2dc32478c3b410",
+            "19dfab1c574fe74fadb570506f98c6e0a29eef796ef3dbbfee578148e6206708",
         "labels.csv":
-            "9c732a987e31e2530b5fc125816da84391ad133c55a4ca9c4a46dba0925a2174",
+            "7f0ca7d011eba91c3a249a13591033e09366fa25b17a0fa76434264f17449af2",
         "modulus.csv":
-            "b4c5665b46dd7efbb10405304799f39b20afde91f1c1a70c3892629d278404f9",
+            "7ce0a42f17b9475753379b68475e734336a1a0e1d978020c27ad6e8f055de611",
         "msd.csv":
-            "e94e8bcff3c83731564fd85598a0a2bdbd5849e49f18aa0c37be90d44bb288cb",
+            "e2be14b483dd320a484e7e50ef6b4284f5a6d95b4d8cb7c76b8fb59219a3a1c1",
         "psd.csv":
-            "b02643517ca83c3096ab351e5792c139cf08a27328024364882dc90a969d7625",
+            "e87bbb86cce6d1364cabf25367626b1ad588ca2d051bc5fc074a5919fc2d1e98",
         "setpoints.csv":
             "36934d2761eeccbc04946b32db40ad7c4c8b508a7460c7f1223cf65bc5b7d478",
         "shifts.csv":
             "1c56bfe925e1a10e4385e7d2618dc187d72f7209c9ae36d73e022281fb05a10a",
         "summary.json":
-            "4b23b5383ce43311d532ecff0b88b348b2dba2251c4366092523d44c2233b107",
+            "e476b77314830df2b0dfa557382fcbc65a7996562710cb49268ba37cda99c7f9",
         "temperature.csv":
             "006a8e38fbb113c4d9dca1270e1e26ff809e749550ba9948f3adca99608b2caa",
         "timeline.csv":
@@ -80,9 +80,9 @@ GOLDEN = {
         "allan.csv":
             "8027fbb77599e3dc9d53964f9ad7a85d332386340a89fb227ba864338dfc9e7e",
         "diagnostics.csv":
-            "8e4f291048932a7994ae377efe2e409b2e48411270421b3fb623a8e1ad7e30e9",
+            "f0273dcd6178d112b75df892df34c1bf6fe08575abe14da8b11f8c98b57b0d47",
         "estimate.csv":
-            "b4d9c43f2cad5770be8ca3af6b6f9a980d7b659f35605d64aa25f4cd68289ab5",
+            "dcd43b2317bfc4d7e6f975cbb4de6dadfc30062f19b053030b690eac9572e5a1",
         "labels.csv":
             "7b62dc64c73b725d8f876c81ef91908c88a4c27b54564f269aadaed1b91b8cdd",
         "msd.csv":
@@ -118,10 +118,10 @@ GOLDEN = {
 # them only by float round-off
 SUMMARY_NUMBERS = {
     "readme": {
-        "D_nm2_per_s": [10981.00715580746, 120.95911035647067],
-        "alpha": [1.0791457215736686, 0.011333052547849522],
-        "class_alpha": {"directed": (1.1970103971650534, 0.10370156949701155),
-                        "non-directed": (1.0698802826085048, 0.051820509343971394)},
+        "D_nm2_per_s": [10962.987394834188, 120.85515269489592],
+        "alpha": [1.078304833700105, 0.011324947916284328],
+        "class_alpha": {"directed": (1.1999849896409058, 0.10304209025751461),
+                        "non-directed": (1.0670042106177597, 0.05076666959096419)},
     },
     "criterion13": {
         "D_nm2_per_s": [9041.331107871498, 154.77308475702975],

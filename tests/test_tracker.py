@@ -98,6 +98,12 @@ def test_track_validation():
     blip = Trajectory(dt=1e-3, points=np.zeros((2, 3)))
     with pytest.raises(ValueError, match="shorter"):
         tracker.track(blip, CFG, 1e6, seed=0)
+    # a rate that is no count mean, negative on every tick, on some, or NaN,
+    # is not drawn from
+    for bad in (lambda t: np.full_like(t, -1.0), lambda t: np.full_like(t, np.nan),
+                lambda t: np.where(t % 2e-3 < 1e-3, 2.0, -1.0)):
+        with pytest.raises(ValueError):
+            tracker.track(truth, CFG, 1e6, seed=0, modulation=bad)
 
 
 def test_track_survives_dark_orbits():
@@ -198,8 +204,9 @@ def test_noise_free_track_matches_reference_on_any_truth_grid(grid, dimmed, G, n
 
 
 def test_per_bin_draws_match_per_tick_mean_counts():
-    # the tracker draws one Poisson count per bin from the summed per-tick
-    # rates; summing per-tick draws must give the same mean counts per bin
+    # the tracker's count of each bin is Poisson with the bin's summed
+    # per-tick rate (drawn by tracker._poisson_counts, tested below);
+    # summing per-tick draws must give the same mean counts per bin
     S, nb, reps = CFG.samples_per_orbit, CFG.n_bins, 400
     for seed in range(20):
         rng = np.random.default_rng(seed)
@@ -211,6 +218,46 @@ def test_per_bin_draws_match_per_tick_mean_counts():
         se = np.sqrt((per_tick.var(axis=0, ddof=1) + per_bin.var(axis=0, ddof=1)) / reps)
         z = diff / se
         assert np.abs(z).max() < 4.0, (seed, z)
+
+
+def test_split_draw_gives_independent_poisson_bins():
+    # one Poisson total split over the bins and planes must give each bin a
+    # Poisson(lam_i) count, mean and variance, with no covariance between bins
+    nb, reps = CFG.n_bins, 4000
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        # per-bin means from 0.5 to 50 counts, one bin of each plane dark
+        lam = 10.0 ** rng.uniform(-0.3, 1.7, (2, nb))
+        lam[:, seed % nb] = 0.0
+        draws = np.array([tracker._poisson_counts(rng, lam) for _ in range(reps)])
+        assert draws.shape == (reps, 2, nb)
+        assert (draws[:, :, seed % nb] == 0).all()
+        lit = lam.ravel() > 0
+        x, m = draws.reshape(reps, -1)[:, lit], lam.ravel()[lit]
+        z_mean = (x.mean(axis=0) - m) / np.sqrt(m / reps)
+        # the sample variance of Poisson counts has variance
+        # mu4/n - m^2 (n - 3)/(n (n - 1)), with mu4 = m + 3 m^2
+        var_sd = np.sqrt((m + 3 * m ** 2) / reps - m ** 2 * (reps - 3) / (reps * (reps - 1)))
+        z_var = (x.var(axis=0, ddof=1) - m) / var_sd
+        pair = np.triu_indices(m.size, 1)
+        z_cov = np.cov(x, rowvar=False)[pair] / np.sqrt(np.outer(m, m)[pair] / (reps - 1))
+        for name, z in (("mean", z_mean), ("variance", z_var), ("covariance", z_cov)):
+            assert np.abs(z).max() < 4.0, (seed, name, z)
+
+
+def test_dark_orbits_form_no_shares():
+    # 100 um off the emitter every rate underflows to 0, so every orbit is
+    # dark and the center never moves; at 100 cps many drawn totals are 0.
+    # Neither may divide by a zero total.
+    with np.errstate(all="raise"):
+        est, diag = tracker.track(static_truth(duration=1.0), CFG, 2e6, seed=4,
+                                  initial_offset=(1e5, 0.0, 0.0))
+        assert diag.n_dark == len(est) == int(1.0 / CFG.T_orbit)
+        assert (est.points == [1e5, 0.0, 0.0]).all()
+        est, diag = tracker.track(static_truth(duration=2.0), CFG, 100.0, seed=4)
+    assert np.isfinite(est.points).all()
+    assert 0 < diag.n_dark < len(est)
+
 
 def test_localization_noise_scales_with_brightness():
     rows = tracker.static_benchmark([1e5, 1e6], CFG,
