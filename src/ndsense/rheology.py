@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from ._numeric import dot, weighted_line
 from ._table import write_table
@@ -205,21 +205,86 @@ def _axis_msd(x: np.ndarray, lags: np.ndarray) -> np.ndarray:
     return (s1 - 2.0 * s2 + 2.0 * drift * net + drift * drift * (n - lags)) / (n - lags)
 
 
-def _var_cov(sums: np.ndarray, k: int) -> np.ndarray:
+def _var_cov(sums: np.ndarray, k: int | np.ndarray) -> np.ndarray:
     # covariance-structure estimator: for Gaussian increments the variance
     # of the time-averaged MSD is 2/K sum over offsets of squared
     # autocovariances of the lagged displacements, which vanish beyond the
     # lag for uncorrelated steps. Each row of `sums` holds one axis's
     # displacement autocorrelation sums at offsets below min(lag, K), from
-    # either path of `_msd_var`.
-    c = sums / (k - np.arange(sums.shape[-1]))
-    return 2.0 / k * c[:, 0] * c[:, 0] + 4.0 / k * dot(c[:, 1:], c[:, 1:])
+    # either FFT path of `_msd_var`, with `k` = K; or, from the closed-form
+    # run, each axis holds one row per lag m, zero at offsets m and up, and
+    # `k` holds each row's K.
+    c = sums / np.subtract.outer(k, np.arange(sums.shape[-1]))
+    return 2.0 / k * c[..., 0] * c[..., 0] + 4.0 / k * dot(c[..., 1:], c[..., 1:])
 
 
 # float64 entries of one group's transform array at most: the lags that
 # share an FFT length are taken this many entries' worth at a time, so a
 # long walk with many lags near N/2 holds a few MB, not hundreds
 _GROUP_FLOATS = 1 << 18
+
+# the longest run of lags 1..h that `_msd_var` takes in closed form: the
+# run's three h x h tables of one axis fit in one group
+_RUN_MAX = math.isqrt(_GROUP_FLOATS // 3)  # 295
+
+
+def _run_length(lags: np.ndarray, n: int) -> int:
+    """h where the sorted, distinct `lags` lead with 1, 2, ..., h, 2h <= n and
+    h <= _RUN_MAX: the run of lags whose variance `_msd_var` takes in closed
+    form; 0 for a run of one lag, which gains nothing."""
+    top = min(n // 2, _RUN_MAX, lags.size)
+    h = int(np.count_nonzero(lags[:top] == np.arange(1, top + 1)))
+    return h if h > 1 else 0
+
+
+def _run_sums(cols: np.ndarray, r: np.ndarray, h: int) -> np.ndarray:
+    # S_m[j] of each axis (column of `cols`) for all j < m <= h, shape
+    # (axes, h, h), valid at j < m only, from R at offsets -h to 2h - 2 (the
+    # rows of `r`): S_m[j] = F_m[j] - P(j, m-1) + P(m-j, j-1) less the same
+    # two terms of the tail (see `_msd_var`). F_1 = R and F_{m+1}[j] =
+    # F_m[j] + C1(j+m) - C1(j-m-1), with C1 R's cumulative sum from offset
+    # -h, so F is one cumulative sum over m of C1's windows. The head's
+    # prefix table P(o, n) = sum_{k=1..n} q_k q_{k+o}, q = x - x[0], holds
+    # the products over E's first m - 1 entries; the tail's is the same
+    # table of the reversed walk.
+    n_ax = cols.shape[1]
+    # per axis: F, the tail's table, the head's table; each table's
+    # anti-diagonal view below reaches up to h^2 entries back into the
+    # array before it, where it reads only entries that are not valid
+    t = np.empty((n_ax, 3, h, h))
+    c1 = np.zeros((n_ax, 3 * h))
+    np.cumsum(r, axis=1, out=c1[:, 1:])  # C1 at offsets -h - 1 to 2h - 2
+    w = sliding_window_view(c1, h, axis=1)  # w[:, s, j] = C1(s + j - h - 1)
+    t[:, 0, 0] = r[:, h:2 * h]
+    np.subtract(w[:, h + 2:], w[:, h - 1:0:-1], out=t[:, 0, 1:])
+    np.cumsum(t[:, 0], axis=1, out=t[:, 0])
+    for row, y in ((1, cols[::-1]), (2, cols)):
+        q = (y[:2 * h - 1] - y[0]).T
+        p = t[:, row, :, 1:]
+        t[:, row, :, 0] = 0.0
+        np.multiply(q[:, None, 1:h], sliding_window_view(q, h - 1, axis=1)[:, 1:h + 1], out=p)
+        np.cumsum(p, axis=2, out=p)
+    s = t[:, 0].copy()
+    for row in (2, 1):
+        p = t[:, row]
+        s -= p.swapaxes(1, 2)  # P(j, m - 1)
+        # P(m - j, j - 1) for j >= 1, at entry (m - 1) h + h - 1 - j (h - 1)
+        s[:, :, 1:] += as_strided(p, (n_ax, h, h - 1), (p.strides[0], p.strides[1],
+                                                        p.strides[2] - p.strides[1]),
+                                  writeable=False)
+    return s
+
+
+def _run_var(cols: np.ndarray, r: np.ndarray, h: int) -> np.ndarray:
+    # "cov" variance of lags 1..h, shape (axes, h), from the run's sums,
+    # taken for as many axes at a time as hold their tables and sums, 4 h^2
+    # floats an axis, in one group (one axis at least); tril zeroes the
+    # sums at j >= m once the tables are freed
+    n_ax = cols.shape[1]
+    k = cols.shape[0] - np.arange(1, h + 1)
+    step = max(_GROUP_FLOATS // (4 * h * h), 1)
+    return np.concatenate([_var_cov(np.tril(_run_sums(cols[:, a:a + step], r[a:a + step], h)),
+                                    k) for a in range(0, n_ax, step)])
 
 
 def _msd_var(cols: np.ndarray, lags: np.ndarray) -> np.ndarray:
@@ -234,14 +299,19 @@ def _msd_var(cols: np.ndarray, lags: np.ndarray) -> np.ndarray:
     # F[j] = sum_{|d|<m} (m - |d|) R(|j + d|) of the steps' autocorrelation
     # R, one FFT pair for all axes and lags, and S_m is F less the products
     # over E's first m - 1 entries (head) and its last m - 1 (tail: the head
-    # of the reversed trajectory). All three are correlations of vectors
-    # shorter than 3m, summed in one FFT pair of length nf(m), the next fast
-    # length from 3m - 2. The lags that share nf form a group, and its rows
-    # go through one rfft and one irfft, at most _GROUP_FLOATS entries at a
-    # time: per lag the triangle weights, the same on every axis, and per
-    # lag and axis R's window, the head and the tail. pocketfft transforms
-    # each row of a stacked array exactly as a lone row, so the sums are
-    # those of one axis and one lag at a time, bit for bit.
+    # of the reversed trajectory).
+    #
+    # A leading run of lags 1..h (see `_run_length`) takes F, head and tail
+    # in closed form for all its lags at once (see `_run_var`), in O(h^2)
+    # per axis and with no further transform. For any other lag the three
+    # are correlations of vectors shorter than 3m, summed in one FFT pair of
+    # length nf(m), the next fast length from 3m - 2. The lags that share nf
+    # form a group, and its rows go through one rfft and one irfft, at most
+    # _GROUP_FLOATS entries at a time: per lag the triangle weights, the
+    # same on every axis, and per lag and axis R's window, the head and the
+    # tail. pocketfft transforms each row of a stacked array exactly as a
+    # lone row, so the sums are those of one axis and one lag at a time, bit
+    # for bit.
     #
     # Above N/2 the end products grow as large as F and the difference
     # loses precision (about 1e-8 relative near lag N - 1), so those lags
@@ -258,14 +328,17 @@ def _msd_var(cols: np.ndarray, lags: np.ndarray) -> np.ndarray:
         # that a head is one subtraction
         pads = [np.concatenate((np.repeat(y[:, :1], hi - 1, axis=1), y[:, :2 * hi - 1]), axis=1)
                 for y in (cols.T, cols[::-1].T)]
+        h = _run_length(lags, n)
+        if h:
+            out[:h] = _run_var(cols, r[:, 2 * hi - 2 - h:2 * hi + 2 * h - 3], h).T
         low = lags[:n_half].tolist()
-        nfs = [_next_fast_len(3 * m - 2) for m in low]
-        i = 0
+        nfs = [_next_fast_len(3 * m - 2) for m in low[h:]]
+        i = h
         while i < n_half:
-            nf = nfs[i]
+            nf = nfs[i - h]
             step = max(_GROUP_FLOATS // ((1 + 5 * n_ax) * nf), 1)
             j = i + 1
-            while j < n_half and j - i < step and nfs[j] == nf:
+            while j < n_half and j - i < step and nfs[j - h] == nf:
                 j += 1
             # row 0 of a lag: the triangle weights; rows 1-5 of an axis: R at
             # offsets 1 - m to 2m - 2, then the short and full head and tail
@@ -301,19 +374,23 @@ def msd(traj: Trajectory, axes: str = "xy", lags=None, variance: str = "cov",
     Every lag comes from one zero-padded FFT autocorrelation per axis
     (the all-lags algorithm of nMOLDYN, Kneller et al., Comput. Phys.
     Commun. 91, 191, 1995), so the MSD costs O(N log N) however many lags
-    are asked for. The "cov" variance of a lag m up to N/2 adds FFT rows of
-    the next fast length from 3m - 2, all of them sharing one
-    autocorrelation of the steps per axis, and all the lags and axes whose
-    rows have one length share one transform pair (measured against the
-    per-offset loop: at most 1.4e-13 relative over 3,000 walks of up to
-    2,000 points); a lag above N/2 adds one length-N FFT pair shared by all
-    axes (see `_msd_var`). The MSD's FFT trades the exact per-lag mean for
-    round-off of about eps times the energy of the axis about its
-    least-squares line, per pair. On Brownian walks the
-    relative error grows as about eps*N at lags up to N/4 (measured: at
-    most 4e-13 over 3,000 walks of up to 2,000 points), and it is largest
-    where few pairs remain, at lags near N (2e-8 at lag N - 1 of a
-    2,000-point walk), so a lag above N/2 raises a RuntimeWarning.
+    are asked for. The "cov" variance of lags up to N/2 shares one
+    autocorrelation of the steps per axis. Lags that lead as 1, 2, ..., h,
+    with h at most 295 and N/2, take it in closed form from that
+    autocorrelation and a prefix-sum table per end (measured against the
+    per-offset loop: at most 6.4e-14 relative over 450 walks with up to 3
+    axes and offsets of 1e6). Any other lag m up to N/2 adds FFT rows of the
+    next fast length from 3m - 2, and all the lags and axes whose rows have
+    one length share one transform pair (at most 1.4e-13 relative over
+    3,000 walks of up to 2,000 points); a lag above N/2 adds one length-N
+    FFT pair shared by all axes (see `_msd_var`). Each axis has the same
+    bits alone as with others. The MSD's FFT trades the exact per-lag mean
+    for round-off of about eps times the energy of the axis about its
+    least-squares line, per pair. On Brownian walks the relative error
+    grows as about eps*N at lags up to N/4 (measured: at most 4e-13 over
+    3,000 walks of up to 2,000 points), and it is largest where few pairs
+    remain, at lags near N (2e-8 at lag N - 1 of a 2,000-point walk), so a
+    lag above N/2 raises a RuntimeWarning.
 
     Parameters
     ----------

@@ -68,7 +68,7 @@ GOLDEN = {
         "shifts.csv":
             "1c56bfe925e1a10e4385e7d2618dc187d72f7209c9ae36d73e022281fb05a10a",
         "summary.json":
-            "e476b77314830df2b0dfa557382fcbc65a7996562710cb49268ba37cda99c7f9",
+            "bb16d926a3d3e239551dbed5a2c1eb8a7b35d8e27800c741f7bf4fb740dc6cd9",
         "temperature.csv":
             "006a8e38fbb113c4d9dca1270e1e26ff809e749550ba9948f3adca99608b2caa",
         "timeline.csv":
@@ -92,7 +92,7 @@ GOLDEN = {
         "shifts.csv":
             "35f87d51815f530b41a146674050cb4b867bf0e0c515ba4882932d0a3174f14a",
         "summary.json":
-            "906217761deb14c95e6d0f97fbb851d56f9a8e9d6c0ac7614b30c7df58bb09aa",
+            "e0b793d1735b5b5296400c6afcd2858af75a6c90bcdae0048f0d7f86d3658ede",
         "temperature.csv":
             "2001f8654dd478b84a6d70d1bd2e5ced333d36c0521e73330082a87286727c41",
         "timeline.csv":

@@ -172,16 +172,59 @@ def walks_and_lag_runs(draw):
 @settings(max_examples=100, deadline=None)
 @given(case=walks_and_lag_runs())
 def test_cov_variance_equals_per_axis_kernel_bitwise(case):
-    # the variance shares each transform pair across axes and lags, but its
-    # bits are those of one axis and one lag at a time, added in axis order
+    # outside the leading run of lags 1..h that takes the closed form, the
+    # variance shares each transform pair across axes and lags, but its bits
+    # are those of one axis and one lag at a time, added in axis order
     traj, axes, lags = case
-    above_half = 2 * lags[-1] > traj.points.shape[0]
+    n = traj.points.shape[0]
+    above_half = 2 * lags[-1] > n
     with pytest.warns(RuntimeWarning, match="above half") if above_half else nullcontext():
         curve = rheology.msd(traj, axes=axes, lags=lags, variance="cov", noise_floor_nm2=0.0)
     want = np.zeros(lags.size)
     for a in axes:
         want += reference_axis_var(traj.points[:, "xyz".index(a)], lags)
-    np.testing.assert_array_equal(curve.var, want)
+    h = rheology._run_length(lags, n)
+    np.testing.assert_array_equal(curve.var[h:], want[h:])
+
+
+@st.composite
+def walks_and_leading_runs(draw):
+    """A Gaussian random walk of 4..2,000 points on three axes, drawn as
+    `walks_and_lag_runs` draws one, offset by 0 or 1e6, and the lags 1..h
+    for h in 2..min(N // 2, 295), with or without up to four later lags that
+    leave the run as it is."""
+    n = draw(st.integers(4, 2000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    drift = draw(st.sampled_from([0.0, 0.2, 5.0]))
+    offset = draw(st.sampled_from([0.0, 1e6]))
+    pts = offset + np.cumsum(scale * rng.normal(drift, 1.0, size=(n, 3)), axis=0)
+    h = draw(st.integers(2, min(n // 2, rheology._RUN_MAX)))
+    later = draw(st.lists(st.integers(h + 2, n - 1), max_size=4)) if h + 2 < n else []
+    return Trajectory(dt=0.01, points=pts), h, np.array(sorted({*range(1, h + 1), *later}))
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=walks_and_leading_runs())
+def test_cov_variance_of_the_leading_run_matches_naive(case):
+    # lags 1..h take their variance in closed form from the steps'
+    # autocorrelation and a prefix table per end; each axis has the same bits
+    # alone as in a call on all three
+    traj, h, lags = case
+    n = traj.points.shape[0]
+    assert rheology._run_length(lags, n) == h
+    above_half = 2 * lags[-1] > n
+    curves = {}
+    for axes in ("xyz", "x", "y", "z"):
+        with pytest.warns(RuntimeWarning, match="above half") if above_half else nullcontext():
+            curves[axes] = rheology.msd(traj, axes=axes, lags=lags, variance="cov",
+                                        noise_floor_nm2=0.0)
+    np.testing.assert_array_equal(curves["xyz"].var,
+                                  curves["x"].var + curves["y"].var + curves["z"].var)
+    for a, x in zip("xyz", traj.points.T):
+        for lag, got in zip(lags[:h].tolist(), curves[a].var[:h]):
+            assert got == pytest.approx(naive_cov_variance(x[lag:] - x[:-lag], lag),
+                                        rel=1e-12)
 
 
 def test_cov_variance_memory_stays_within_its_groups():

@@ -279,11 +279,17 @@ def test_noise_free_benchmark_row():
 
 
 def test_lock_loss_on_fast_diffusion():
-    truth = media.simulate_brownian(5e5, 200, CFG.T_orbit,
-                                    seed=substream(19, "medium"))
-    est, diag = tracker.track(truth, CFG, 2e6,
-                              seed=substream(19, "tracker-photons"))
-    assert diag.lock_lost
+    # at D = 5e5 over 200 orbits about half of the master seeds lose lock, so
+    # the bookkeeping is checked at the first of seeds 1-20 that does; with a
+    # working loss check, all 20 keep lock with odds of about 1e-6
+    for seed in range(1, 21):
+        truth = media.simulate_brownian(5e5, 200, CFG.T_orbit,
+                                        seed=substream(seed, "medium"))
+        est, diag = tracker.track(truth, CFG, 2e6,
+                                  seed=substream(seed, "tracker-photons"))
+        if diag.lock_lost:
+            break
+    assert diag.lock_lost, "none of master seeds 1-20 lost lock"
     assert diag.lock_lost_at >= 0
     assert not diag.locked[diag.lock_lost_at]
     # loss is declared at the fifth update of the first run of five unlocked
