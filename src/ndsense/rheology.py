@@ -211,20 +211,19 @@ def _var_cov(sums: np.ndarray, k: int | np.ndarray) -> np.ndarray:
     # autocovariances of the lagged displacements, which vanish beyond the
     # lag for uncorrelated steps. Each row of `sums` holds one axis's
     # displacement autocorrelation sums at offsets below min(lag, K), from
-    # either FFT path of `_msd_var`, with `k` = K; or, from the closed-form
+    # one lag's FFT pair in `_msd_var`, with `k` = K; or, from the closed-form
     # run, each axis holds one row per lag m, zero at offsets m and up, and
     # `k` holds each row's K.
     c = sums / np.subtract.outer(k, np.arange(sums.shape[-1]))
     return 2.0 / k * c[..., 0] * c[..., 0] + 4.0 / k * dot(c[..., 1:], c[..., 1:])
 
 
-# float64 entries of one group's transform array at most: the lags that
-# share an FFT length are taken this many entries' worth at a time, so a
-# long walk with many lags near N/2 holds a few MB, not hundreds
+# float64 entries of the closed-form run's tables and sums at most:
+# `_run_var` takes as many axes at a time as fit (one at least)
 _GROUP_FLOATS = 1 << 18
 
 # the longest run of lags 1..h that `_msd_var` takes in closed form: the
-# run's three h x h tables of one axis fit in one group
+# run's three h x h tables of one axis fit in _GROUP_FLOATS
 _RUN_MAX = math.isqrt(_GROUP_FLOATS // 3)  # 295
 
 
@@ -278,7 +277,7 @@ def _run_sums(cols: np.ndarray, r: np.ndarray, h: int) -> np.ndarray:
 def _run_var(cols: np.ndarray, r: np.ndarray, h: int) -> np.ndarray:
     # "cov" variance of lags 1..h, shape (axes, h), from the run's sums,
     # taken for as many axes at a time as hold their tables and sums, 4 h^2
-    # floats an axis, in one group (one axis at least); tril zeroes the
+    # floats an axis, in _GROUP_FLOATS (one axis at least); tril zeroes the
     # sums at j >= m once the tables are freed
     n_ax = cols.shape[1]
     k = cols.shape[0] - np.arange(1, h + 1)
@@ -303,15 +302,14 @@ def _msd_var(cols: np.ndarray, lags: np.ndarray) -> np.ndarray:
     #
     # A leading run of lags 1..h (see `_run_length`) takes F, head and tail
     # in closed form for all its lags at once (see `_run_var`), in O(h^2)
-    # per axis and with no further transform. For any other lag the three
-    # are correlations of vectors shorter than 3m, summed in one FFT pair of
-    # length nf(m), the next fast length from 3m - 2. The lags that share nf
-    # form a group, and its rows go through one rfft and one irfft, at most
-    # _GROUP_FLOATS entries at a time: per lag the triangle weights, the
-    # same on every axis, and per lag and axis R's window, the head and the
-    # tail. pocketfft transforms each row of a stacked array exactly as a
-    # lone row, so the sums are those of one axis and one lag at a time, bit
-    # for bit.
+    # per axis and with no further transform. Every later lag m takes one
+    # FFT pair shared by its axes. Up to N/2 the three are correlations of
+    # vectors shorter than 3m, summed in rows of length nf(m), the next fast
+    # length from 3m - 2: the triangle weights, the same on every axis, and
+    # per axis R's window, the head and the tail. pocketfft transforms each
+    # row of a stacked array exactly as a lone row, so the sums are those of
+    # one axis at a time, bit for bit. A length-N pair for these lags took
+    # 2x (default lags) to 6x (lags 1..1000) as long on a 30,001-point walk.
     #
     # Above N/2 the end products grow as large as F and the difference
     # loses precision (about 1e-8 relative near lag N - 1), so those lags
@@ -319,51 +317,37 @@ def _msd_var(cols: np.ndarray, lags: np.ndarray) -> np.ndarray:
     n, n_ax = cols.shape
     out = np.empty((lags.size, n_ax))
     n_half = int(np.searchsorted(lags, n // 2, side="right"))
+    h = _run_length(lags, n)  # 0 where no lag is up to N/2
     if n_half:
         hi = int(lags[n_half - 1])
         r = _autocorr(np.diff(cols, axis=0).T, _next_fast_len(n + 2 * hi - 3))[:, :2 * hi - 1]
         r = np.concatenate((r[:, :0:-1], r), axis=1)  # R(|o|) for o in [2 - 2 hi, 2 hi - 2]
-        # the first 2 hi - 1 values of each axis and of its reverse, led by
-        # hi - 1 copies of the first: pad[:, hi - 1 + e] = x[max(e, 0)], so
-        # that a head is one subtraction
-        pads = [np.concatenate((np.repeat(y[:, :1], hi - 1, axis=1), y[:, :2 * hi - 1]), axis=1)
-                for y in (cols.T, cols[::-1].T)]
-        h = _run_length(lags, n)
         if h:
             out[:h] = _run_var(cols, r[:, 2 * hi - 2 - h:2 * hi + 2 * h - 3], h).T
-        low = lags[:n_half].tolist()
-        nfs = [_next_fast_len(3 * m - 2) for m in low[h:]]
-        i = h
-        while i < n_half:
-            nf = nfs[i - h]
-            step = max(_GROUP_FLOATS // ((1 + 5 * n_ax) * nf), 1)
-            j = i + 1
-            while j < n_half and j - i < step and nfs[j - h] == nf:
-                j += 1
-            # row 0 of a lag: the triangle weights; rows 1-5 of an axis: R at
-            # offsets 1 - m to 2m - 2, then the short and full head and tail
-            z = np.zeros((j - i, 1 + 5 * n_ax, nf))
-            span = lags[i:j, None]
-            z[:, 0] = np.maximum(span - np.abs(np.arange(nf) - (span - 1)), 0)
-            za = z[:, 1:].reshape(j - i, n_ax, 5, nf)
-            for g, m in enumerate(low[i:j]):
-                za[g, :, 0, :3 * m - 2] = r[:, 2 * hi - 1 - m:2 * hi + 2 * m - 3]
-                for row, y in zip((1, 3), pads):
-                    e = za[g, :, row + 1, :2 * m - 2]
-                    np.subtract(y[:, hi:hi + 2 * m - 2], y[:, hi - m:hi + m - 2], out=e)
-                    za[g, :, row, :m - 1] = e[:, :m - 1]
-            f = np.fft.rfft(z)
-            fa = f[:, 1:].reshape(j - i, n_ax, 5, -1)
-            p = f[:, :1].conj() * fa[:, :, 0]
-            p -= fa[:, :, 1].conj() * fa[:, :, 2]
-            p -= fa[:, :, 3].conj() * fa[:, :, 4]
-            s = np.fft.irfft(p, nf)
-            for g, m in enumerate(low[i:j]):
-                out[i + g] = _var_cov(s[g, :, :m], n - m)
-            i = j
     nfft = _next_fast_len(n - 1)  # K + lag - 1 = n - 1
-    for i, m in enumerate(lags[n_half:].tolist(), start=n_half):
-        out[i] = _var_cov(_autocorr((cols[m:] - cols[:-m]).T, nfft)[:, :n - m], n - m)
+    for i, m in enumerate(lags[h:].tolist(), start=h):
+        if i < n_half:
+            # row 0: the triangle weights; rows 1-5 of an axis: R at offsets
+            # 1 - m to 2m - 2, then the short and full head and tail
+            nf = _next_fast_len(3 * m - 2)
+            z = np.zeros((1 + 5 * n_ax, nf))
+            z[0, :2 * m - 1] = m - np.abs(np.arange(1 - m, m))
+            za = z[1:].reshape(n_ax, 5, nf)
+            za[:, 0, :3 * m - 2] = r[:, 2 * hi - 1 - m:2 * hi + 2 * m - 3]
+            for row, y in ((1, cols.T), (3, cols[::-1].T)):
+                e = za[:, row + 1, :2 * m - 2]
+                np.subtract(y[:, 1:m], y[:, :1], out=e[:, :m - 1])
+                np.subtract(y[:, m:2 * m - 1], y[:, :m - 1], out=e[:, m - 1:])
+                za[:, row, :m - 1] = e[:, :m - 1]
+            f = np.fft.rfft(z)
+            fa = f[1:].reshape(n_ax, 5, -1)
+            p = f[:1].conj() * fa[:, 0]
+            p -= fa[:, 1].conj() * fa[:, 2]
+            p -= fa[:, 3].conj() * fa[:, 4]
+            sums = np.fft.irfft(p, nf)[:, :m]
+        else:
+            sums = _autocorr((cols[m:] - cols[:-m]).T, nfft)[:, :n - m]
+        out[i] = _var_cov(sums, n - m)
     return out
 
 
@@ -379,18 +363,17 @@ def msd(traj: Trajectory, axes: str = "xy", lags=None, variance: str = "cov",
     with h at most 295 and N/2, take it in closed form from that
     autocorrelation and a prefix-sum table per end (measured against the
     per-offset loop: at most 6.4e-14 relative over 450 walks with up to 3
-    axes and offsets of 1e6). Any other lag m up to N/2 adds FFT rows of the
-    next fast length from 3m - 2, and all the lags and axes whose rows have
-    one length share one transform pair (at most 1.4e-13 relative over
-    3,000 walks of up to 2,000 points); a lag above N/2 adds one length-N
-    FFT pair shared by all axes (see `_msd_var`). Each axis has the same
-    bits alone as with others. The MSD's FFT trades the exact per-lag mean
-    for round-off of about eps times the energy of the axis about its
-    least-squares line, per pair. On Brownian walks the relative error
-    grows as about eps*N at lags up to N/4 (measured: at most 4e-13 over
-    3,000 walks of up to 2,000 points), and it is largest where few pairs
-    remain, at lags near N (2e-8 at lag N - 1 of a 2,000-point walk), so a
-    lag above N/2 raises a RuntimeWarning.
+    axes and offsets of 1e6). Every other lag adds one FFT pair shared by
+    all axes: up to N/2, rows of the next fast length from 3m - 2 (at most
+    1.4e-13 relative over 3,000 walks of up to 2,000 points); above N/2, a
+    direct length-N correlation of the lag's displacements (see
+    `_msd_var`). Each axis has the same bits alone as with others. The MSD's
+    FFT trades the exact per-lag mean for round-off of about eps times the
+    energy of the axis about its least-squares line, per pair. On Brownian
+    walks the relative error grows as about eps*N at lags up to N/4
+    (measured: at most 4e-13 over 3,000 walks of up to 2,000 points), and it
+    is largest where few pairs remain, at lags near N (2e-8 at lag N - 1 of
+    a 2,000-point walk), so a lag above N/2 raises a RuntimeWarning.
 
     Parameters
     ----------

@@ -54,10 +54,10 @@ def naive_cov_variance(xi: np.ndarray, lag: int) -> float:
     return v
 
 
-# the per-axis FFT kernel of the "cov" variance that `rheology.msd` ran
-# before it shared each transform pair across axes and lags, kept as the
-# bit-for-bit reference of the shared one: the same operations in the same
-# order, one axis and one lag at a time
+# the per-axis FFT kernel of the "cov" variance, kept as the bit-for-bit
+# reference of `rheology._msd_var`'s per-lag transform pairs, which stack
+# the axes: the same operations in the same order, one axis and one lag at
+# a time
 
 def _ref_autocorr(y: np.ndarray, nfft: int) -> np.ndarray:
     spec = np.fft.rfft(y, nfft)

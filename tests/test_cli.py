@@ -18,6 +18,8 @@ from ndsense import chip, cli, media, odmr
 from ndsense._table import read_table
 from ndsense.trajectory import Trajectory
 
+from _oracles import naive_cov_variance
+
 
 def write_config(path, cfg):
     with open(path, "w") as fh:
@@ -607,6 +609,25 @@ def test_analyze_max_lag_far_beyond_the_trajectory(tmp_path):
                              "--out-dir", str(out)]) == 0
         written[max_lag_s] = (out / "msd.csv").read_bytes()
     assert written[1e308] == written[20.0]
+
+
+def test_analyze_lags_past_the_closed_form_run(tmp_path):
+    # 400 lags of a 1,001-point walk: the MSD variance takes lags 1..295 in
+    # closed form and lags 296..400 on one FFT pair each, all below N/2
+    cfg = brownian_cfg(duration=10.0, analysis={"max_lag_s": 4.0})
+    cfg["simulate"]["dt_s"] = 0.01
+    path = write_config(tmp_path / "cfg.json", cfg)
+    assert cli.main(["simulate", "--config", path, "--out-dir", str(tmp_path)]) == 0
+    out = tmp_path / "out"
+    assert cli.main(["analyze", "--config", path, "--traj", str(tmp_path / "truth.csv"),
+                     "--out-dir", str(out)]) == 0
+    var = read_table(out / "msd.csv", ("tau_s", "msd_nm2", "var_nm4", "k"))[1][2]
+    assert var.size == 400
+    xy = Trajectory.from_csv(tmp_path / "truth.csv").points[:, :2].T
+    assert xy.shape[1] == 1001
+    for lag in (295, 296, 400):
+        want = sum(naive_cov_variance(x[lag:] - x[:-lag], lag) for x in xy)
+        assert var[lag - 1] == pytest.approx(want, rel=1e-6)
 
 
 def test_analyze_radius_fit(tmp_path):

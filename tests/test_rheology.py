@@ -8,7 +8,7 @@ from contextlib import nullcontext
 import numpy as np
 import pytest
 import scipy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.signal import welch
 from scipy.special import gamma as gamma_fn
@@ -152,8 +152,9 @@ def test_cov_variance_straddling_half(n):
 @st.composite
 def walks_and_lag_runs(draw):
     """A Gaussian random walk of 2..2,000 points on 1-3 axes, and lags in up
-    to four runs of up to 40 consecutive lags, so that lags with one FFT
-    length come together, with or without the five lags around N/2."""
+    to four runs of up to 40 consecutive lags, with or without the five lags
+    around N/2, and with or without a leading run 1..L for L up to 400, so
+    that a run may stop at the closed form's cap of 295."""
     n = draw(st.integers(2, 2000))
     axes = draw(st.sampled_from(["x", "z", "xy", "yz", "xyz"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -166,14 +167,17 @@ def walks_and_lag_runs(draw):
         lags.update(range(start, min(start + length, n)))
     if draw(st.booleans()):
         lags.update(m for m in range(n // 2 - 2, n // 2 + 3) if 1 <= m < n)
+    if draw(st.booleans()):
+        lags.update(range(1, draw(st.integers(1, min(n - 1, 400))) + 1))
     return Trajectory(dt=0.01, points=pts), axes, np.array(sorted(lags))
 
 
 @settings(max_examples=100, deadline=None)
 @given(case=walks_and_lag_runs())
+@example(case=(random_walk(n=1001, seed=30), "xyz", np.arange(1, 401)))  # the CLI's 400 lags
 def test_cov_variance_equals_per_axis_kernel_bitwise(case):
     # outside the leading run of lags 1..h that takes the closed form, the
-    # variance shares each transform pair across axes and lags, but its bits
+    # variance shares each lag's transform pair across axes, but its bits
     # are those of one axis and one lag at a time, added in axis order
     traj, axes, lags = case
     n = traj.points.shape[0]
@@ -228,10 +232,11 @@ def test_cov_variance_of_the_leading_run_matches_naive(case):
 
 
 def test_cov_variance_memory_stays_within_its_groups():
-    # every lag up to N/2 of a 2,000-point walk: the lags near N/2 that share
-    # an FFT length would make one group array of about 11 MB on three axes;
-    # taken _GROUP_FLOATS entries at a time, the variance's working memory is
-    # that array, its rfft, the products and the irfft, about 4 such arrays
+    # every lag up to N/2 of a 2,000-point walk on three axes: the closed-form
+    # run of lags 1..295 takes its tables and sums for as many axes at a time
+    # as fit in _GROUP_FLOATS entries, and each later lag's transform pair
+    # holds 16 rows of at most 3,000 entries, so the variance's working
+    # memory stays within about 4 arrays of _GROUP_FLOATS entries
     traj = random_walk(n=2000, seed=9)
     lags = np.arange(1, 1001)
     peaks = {}
