@@ -1,8 +1,9 @@
-"""ODMR thermometry: lineshapes, scan synthesis, shift fitting, sensitivity
-bounds, Allan analysis, and temperature calibration.
+"""ODMR thermometry: the double-Lorentzian lineshape and its calibration fit,
+scan synthesis, shift fitting, sensitivity bounds, Allan analysis, and
+temperature calibration.
 
 A lineshape L(f) is the photoluminescence level normalized to 1 off
-resonance; spin-resonance dips pull it below 1.
+resonance; two spin-resonance dips pull it below 1.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ __all__ = [
     "default_grid",
     "default_lineshape",
     "synthesize_scan",
-    "build_interpolation",
+    "fit_lineshape",
     "fit_shifts",
     "DEFAULT_BIN_S",
     "DEFAULT_KAPPA_KHZ_PER_C",
@@ -58,92 +59,43 @@ DEFAULT_HWHM_HZ = 6.0e6
 DEFAULT_CONTRASTS = (0.1506, 0.1205)
 DEFAULT_SPAN_HZ = 80.0e6
 DEFAULT_N_POINTS = 200
-# highest interpolation-table level: tables are normalized to 1 off
-# resonance, and noise may lift a point a little above it
-_TABLE_MAX_LEVEL = 1.05
 
 
 @dataclass(frozen=True, eq=False)
 class Lineshape:
-    """Normalized PL level versus microwave frequency.
-
-    Two kinds: "double_lorentzian" (asymmetric strain-split pair) and
-    "interpolation" (piecewise-linear table extending as L = 1 beyond its
-    endpoints).
+    """Normalized PL level versus microwave frequency: an asymmetric
+    strain-split pair of Lorentzian dips, L(f) = 1 - sum_k c_k g_k^2 /
+    ((f - m_k)^2 + g_k^2), with centres m_k, contrasts c_k and half widths
+    g_k in Hz.
     """
 
-    kind: str
-    centers: tuple = ()
-    contrasts: tuple = ()
-    hwhms: tuple = ()
-    table_f: np.ndarray = field(default=None, repr=False)
-    table_L: np.ndarray = field(default=None, repr=False)
+    centers: tuple
+    contrasts: tuple
+    hwhms: tuple
 
     def __post_init__(self):
-        if self.kind == "double_lorentzian":
-            if not (len(self.centers) == len(self.contrasts) == len(self.hwhms) == 2):
-                raise ValueError("double_lorentzian needs 2 center/contrast/hwhm each")
-            if any(c <= 0 for c in self.contrasts) or sum(self.contrasts) >= 1:
-                raise ValueError("contrasts must be positive and sum below 1")
-            if any(g <= 0 for g in self.hwhms):
-                raise ValueError("linewidths must be positive")
-        elif self.kind == "interpolation":
-            f = np.asarray(self.table_f, dtype=float)
-            lv = np.asarray(self.table_L, dtype=float)
-            if f.ndim != 1 or f.shape != lv.shape or f.size < 2:
-                raise ValueError("interpolation table needs matching 1-D arrays")
-            # NaN fails every comparison, so it would pass the checks below
-            if not (np.isfinite(f).all() and np.isfinite(lv).all()):
-                raise ValueError("interpolation table must be finite")
-            if (np.diff(f) <= 0).any():
-                raise ValueError("table frequencies must be strictly increasing")
-            if (lv <= 0).any() or (lv > _TABLE_MAX_LEVEL).any():
-                raise ValueError("table levels must lie in (0, 1] up to noise")
-            object.__setattr__(self, "table_f", f)
-            object.__setattr__(self, "table_L", lv)
-        else:
-            raise ValueError(f"unknown lineshape kind: {self.kind}")
-
-    @classmethod
-    def double(cls, contrasts=DEFAULT_CONTRASTS) -> "Lineshape":
-        """The default strain-split pair with the given dip contrasts."""
-        c1 = DEFAULT_CENTER_HZ - 0.5 * DEFAULT_SPLITTING_HZ
-        c2 = DEFAULT_CENTER_HZ + 0.5 * DEFAULT_SPLITTING_HZ
-        return cls(kind="double_lorentzian", centers=(c1, c2),
-                   contrasts=tuple(contrasts), hwhms=(DEFAULT_HWHM_HZ, DEFAULT_HWHM_HZ))
-
-    @classmethod
-    def from_table(cls, freqs, levels) -> "Lineshape":
-        return cls(kind="interpolation", table_f=np.asarray(freqs, dtype=float),
-                   table_L=np.asarray(levels, dtype=float))
+        if not (len(self.centers) == len(self.contrasts) == len(self.hwhms) == 2):
+            raise ValueError("a lineshape needs 2 center/contrast/hwhm each")
+        if any(c <= 0 for c in self.contrasts) or sum(self.contrasts) >= 1:
+            raise ValueError("contrasts must be positive and sum below 1")
+        if any(g <= 0 for g in self.hwhms):
+            raise ValueError("linewidths must be positive")
 
     def value(self, f, delta_f: float = 0.0):
         """L(f - delta_f); accepts scalars or arrays."""
         x = np.asarray(f, dtype=float) - delta_f
-        if self.kind == "interpolation":
-            return np.interp(x, self.table_f, self.table_L, left=1.0, right=1.0)
         out = np.ones_like(x)
         for c, amp, g in zip(self.centers, self.contrasts, self.hwhms):
             out = out - amp * g * g / ((x - c) ** 2 + g * g)
         return out
 
     def derivative(self, f, delta_f: float = 0.0):
-        """dL/df at f - delta_f; piecewise-constant segment slopes for tables."""
-        x = np.atleast_1d(np.asarray(f, dtype=float)) - delta_f
-        if self.kind == "interpolation":
-            slopes = np.diff(self.table_L) / np.diff(self.table_f)
-            idx = np.searchsorted(self.table_f, x, side="right") - 1
-            out = np.zeros_like(x)
-            inside = (idx >= 0) & (idx < slopes.size) & (x >= self.table_f[0]) \
-                     & (x <= self.table_f[-1])
-            out[inside] = slopes[idx[inside]]
-        else:
-            out = np.zeros_like(x)
-            for c, amp, g in zip(self.centers, self.contrasts, self.hwhms):
-                d = x - c
-                out = out + amp * g * g * 2.0 * d / (d * d + g * g) ** 2
-        if np.isscalar(f) or np.asarray(f).ndim == 0:
-            return float(out[0])
+        """dL/df at f - delta_f; accepts scalars or arrays."""
+        x = np.asarray(f, dtype=float) - delta_f
+        out = np.zeros_like(x)
+        for c, amp, g in zip(self.centers, self.contrasts, self.hwhms):
+            d = x - c
+            out = out + amp * g * g * 2.0 * d / (d * d + g * g) ** 2
         return out
 
 
@@ -155,7 +107,9 @@ def default_grid(n_points: int = DEFAULT_N_POINTS) -> np.ndarray:
 
 def default_lineshape() -> Lineshape:
     """Asymmetric strain-split double Lorentzian used throughout the tests."""
-    return Lineshape.double()
+    half = 0.5 * DEFAULT_SPLITTING_HZ
+    return Lineshape(centers=(DEFAULT_CENTER_HZ - half, DEFAULT_CENTER_HZ + half),
+                     contrasts=DEFAULT_CONTRASTS, hwhms=(DEFAULT_HWHM_HZ, DEFAULT_HWHM_HZ))
 
 
 # ---------------------------------------- scan synthesis and the shift fit
@@ -178,21 +132,65 @@ def synthesize_scan(shape: Lineshape, lam0: float, delta_f, seed,
     return as_generator(seed).poisson(n_scans * lam0 * shape.value(freqs, delta_f))
 
 
-def build_interpolation(freqs, total_counts, n_scans: int) -> Lineshape:
-    """Normalized interpolation-table lineshape from the counts of `n_scans`
-    sweeps summed per frequency point.
+_LM_MAX_STEPS = 500
+_LM_FTOL = 1e-10
 
-    The off-resonance plateau is taken as the median of the top decile of
-    mean levels and divides the table so it tends to 1 off resonance.
+
+def fit_lineshape(freqs, total_counts, n_scans: int) -> Lineshape:
+    """Double-Lorentzian lineshape fitted to the mean of `n_scans` sweeps
+    whose counts are summed per frequency point.
+
+    Unweighted Levenberg-Marquardt of A * L(f) with the analytic Jacobian, in
+    MHz about DEFAULT_CENTER_HZ, over the centres and the logs of A, the
+    contrasts and the widths, which so stay positive. It starts from the
+    default shape, with A the median of the top decile of the mean counts,
+    and has converged once an accepted step lowers the sum of squares by at
+    most _LM_FTOL of itself. Raises ValueError when it does not converge in
+    _LM_MAX_STEPS trial steps.
     """
     if n_scans < 1:
         raise ValueError("n_scans must be >= 1")
-    mean = np.asarray(total_counts) / n_scans
-    if not np.isfinite(mean).all() or (mean <= 0).any():
-        raise ValueError("mean counts must be finite and positive at every point")
-    top = np.sort(mean)[-max(mean.size // 10, 1):]
-    plateau = float(np.median(top))
-    return Lineshape.from_table(freqs, np.minimum(mean / plateau, _TABLE_MAX_LEVEL))
+    mean = np.asarray(total_counts, dtype=float) / n_scans
+    if not np.isfinite(mean).all():
+        raise ValueError("mean counts must be finite at every point")
+    plateau = np.median(np.sort(mean)[-max(mean.size // 10, 1):])
+    x = (np.asarray(freqs, dtype=float) - DEFAULT_CENTER_HZ) / 1e6
+
+    def residual_and_jacobian(p):
+        amp, d = np.exp(p[0]), x - p[1:3, None]
+        c, g2 = np.exp(p[3:5, None]), np.exp(2.0 * p[5:7, None])
+        den = d * d + g2
+        cq = c * g2 / den
+        level = 1.0 - cq.sum(axis=0)
+        jac = np.concatenate([amp * level[None], -2.0 * amp * cq * d / den, -amp * cq,
+                              -2.0 * amp * cq * d * d / den])
+        return mean - amp * level, jac
+
+    start = default_lineshape()
+    damping = 1e-3
+    # a step far out of the physical region may overflow; its sum of squares
+    # is then not finite, and the step is rejected. A sweep whose brightest
+    # points hold no counts starts at A = 0, where the Jacobian is singular.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        p = np.array([np.log(plateau), *(np.subtract(start.centers, DEFAULT_CENTER_HZ) / 1e6),
+                      *np.log(start.contrasts), *np.log(np.divide(start.hwhms, 1e6))])
+        r, jac = residual_and_jacobian(p)
+        for _ in range(_LM_MAX_STEPS):
+            jtj = jac @ jac.T
+            try:
+                step = np.linalg.solve(jtj + damping * np.diag(np.diag(jtj)), jac @ r)
+            except np.linalg.LinAlgError:
+                break
+            r_try, jac_try = residual_and_jacobian(p + step)
+            gain = r @ r - r_try @ r_try
+            if gain >= 0:
+                p, r, jac = p + step, r_try, jac_try
+            damping *= 0.1 if gain >= 0 else 10.0
+            if 0 <= gain <= _LM_FTOL * (r @ r):
+                return Lineshape(centers=tuple((DEFAULT_CENTER_HZ + 1e6 * p[1:3]).tolist()),
+                                 contrasts=tuple(np.exp(p[3:5]).tolist()),
+                                 hwhms=tuple((1e6 * np.exp(p[5:7])).tolist()))
+    raise ValueError("calibration fit of the reference lineshape did not converge")
 
 
 # Options of the shift search, scipy's bounded Brent method
@@ -576,8 +574,9 @@ def simulate_shift_series(shape: Lineshape, lam0: float, duration_s: float,
     Each bin accumulates the sweeps of `freqs` the gate completes in `bin_s`.
     `delta_f_of_t` is called once, on the array of bin start times, and
     returns the array of true shifts in Hz (default: all 0).
-    When `fit_shape` is None the interpolation table is built from the
-    accumulated data itself, mirroring the self-calibrated pipeline.
+    When `fit_shape` is None the reference lineshape is fitted to the sum of
+    all bins' counts (`fit_lineshape`), mirroring the self-calibrated
+    pipeline; a sweep too dim for that fit raises ValueError.
     """
     if freqs is None:
         freqs = default_grid()
@@ -599,7 +598,7 @@ def simulate_shift_series(shape: Lineshape, lam0: float, duration_s: float,
         rows = slice(k, k + _CHUNK_ROWS)
         counts[rows] = synthesize_scan(shape, lam0, truth[rows, None], rng, freqs, scans)
     if fit_shape is None:
-        fit_shape = build_interpolation(freqs, counts.sum(axis=0), n_bins * scans)
+        fit_shape = fit_lineshape(freqs, counts.sum(axis=0), n_bins * scans)
     delta_f, lam_fit, sigma, ok = fit_shifts(counts, freqs, fit_shape)
     return ShiftSeries(
         times=times,

@@ -127,12 +127,12 @@ def test_criterion_04_thermometry_sensitivity():
     # Monte-Carlo estimator spread against the per-bin bound
     bound = odmr.shift_bound_per_scan(shape, 10.0) / np.sqrt(160)
     freqs = odmr.default_grid()
-    table = odmr.build_interpolation(
+    reference = odmr.fit_lineshape(
         freqs, odmr.synthesize_scan(shape, 10.0, 0.0, substream(108, "ref"),
                                     n_scans=100000), 100000)
     counts = np.array([odmr.synthesize_scan(shape, 10.0, 0.0, substream(108, "mc", k),
                                             n_scans=160) for k in range(300)])
-    delta_f, _, _, converged = odmr.fit_shifts(counts, freqs, table)
+    delta_f, _, _, converged = odmr.fit_shifts(counts, freqs, reference)
     errs = delta_f[converged]
     mc_var = np.var(errs, ddof=1)
     # sampling floor: a chi2 spread this size can sit below the bound by
@@ -154,7 +154,7 @@ def test_criterion_04_thermometry_sensitivity():
 
 def test_criterion_05_kappa_calibration():
     shape = odmr.default_lineshape()
-    table = odmr.build_interpolation(
+    reference = odmr.fit_lineshape(
         odmr.default_grid(), odmr.synthesize_scan(shape, 10.0, 0.0, substream(7, "ref"),
                                                   n_scans=240000), 240000)
     sched = chip.staircase_schedule(start_C=0.0, step_C=4.0, dwell_s=300.0,
@@ -168,7 +168,7 @@ def test_criterion_05_kappa_calibration():
     series = odmr.simulate_shift_series(shape, 10.0, 2700.0,
                                         substream(7, "odmr-photons"),
                                         delta_f_of_t=shift_of_t,
-                                        fit_shape=table)
+                                        fit_shape=reference)
     level = np.minimum((series.times // 300.0).astype(int), 8)
     settled = (series.times - level * 300.0) >= 120.0
     cal = odmr.calibrate_kappa(4.0 * level[settled],
@@ -185,7 +185,7 @@ def test_criterion_05_kappa_calibration():
 def test_criterion_06_two_parameter_advantage():
     shape = odmr.default_lineshape()
     freqs = odmr.default_grid()
-    table = odmr.build_interpolation(
+    reference = odmr.fit_lineshape(
         freqs, odmr.synthesize_scan(shape, 10.0, 0.0, substream(104, "ref"),
                                     n_scans=100000), 100000)
     f0 = float(freqs.mean())
@@ -203,7 +203,7 @@ def test_criterion_06_two_parameter_advantage():
     true_mid = np.mean(shape.centers)
     counts = np.array([odmr.synthesize_scan(shape, 10.0, 0.0, substream(104, "mc", k),
                                             n_scans=160) for k in range(80)])
-    delta_f, _, _, converged = odmr.fit_shifts(counts, freqs, table)
+    delta_f, _, _, converged = odmr.fit_shifts(counts, freqs, reference)
     d2 = delta_f[converged]
     d7 = []
     for scan in counts:

@@ -826,6 +826,20 @@ def test_odmr_duration_shorter_than_one_bin_exits_1_before_any_draw(tmp_path, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("lam0", [1e-6, 1e-4])
+def test_odmr_sweep_too_dim_to_fit_exits_2_before_writing(tmp_path, capsys, lam0):
+    # 150 bins of 160 sweeps: at 1e-6 counts per sample the brightest points
+    # hold no photon, at 1e-4 a few, too few for the calibration fit
+    cfg = write_config(tmp_path / "cfg.json", brownian_cfg(
+        duration=60.0, odmr={"enabled": True, "lam0": lam0, "kappa_khz_per_C": -60.0,
+                             "bin_s": 0.4}))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", cfg, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: calibration fit of the reference lineshape")
+    assert not out.exists()
+
+
 def test_short_temperature_series_exits_1_before_writing(tmp_path, odmr_run, capsys):
     cfg = write_config(tmp_path / "cfg.json",
                        {"schema_version": 1, "seed": 1, "analysis": {"psd": {}}})

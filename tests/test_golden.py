@@ -48,7 +48,7 @@ CRITERION_13_CFG = {
 GOLDEN = {
     "readme": {  # 14 files
         "allan.csv":
-            "26232c8eb15572a2dc8b1a454a672ba458f00b7c975c668dad8bea765f38f249",
+            "dd2dc13e90a2dc0580eac900ae8d67603f99774e9a1b5460cb74a13d8e74536a",
         "diagnostics.csv":
             "0fdf9b76c3602b40c26edaa1743688f715d0001086e3000d79cf0a527da99c85",
         "estimate.csv":
@@ -66,11 +66,11 @@ GOLDEN = {
         "setpoints.csv":
             "36934d2761eeccbc04946b32db40ad7c4c8b508a7460c7f1223cf65bc5b7d478",
         "shifts.csv":
-            "1c56bfe925e1a10e4385e7d2618dc187d72f7209c9ae36d73e022281fb05a10a",
+            "6a0ce9bb8957da683c698f6d56ce69c7f71138717e3bc10695c73fc98f1d2569",
         "summary.json":
-            "bb16d926a3d3e239551dbed5a2c1eb8a7b35d8e27800c741f7bf4fb740dc6cd9",
+            "68e0b9927208ea7ba9430cb1a9fc9054003764ff61cfa711454500608d712077",
         "temperature.csv":
-            "006a8e38fbb113c4d9dca1270e1e26ff809e749550ba9948f3adca99608b2caa",
+            "11b172b7ec2740c9d6c9c6de799af2cb19a705b7ba34db8ab52b6bfdd6076c25",
         "timeline.csv":
             "1ba230292e4e61ec880d531dd6e06f525eb8cc1b538a8913004661feed72d033",
         "truth.csv":
@@ -78,7 +78,7 @@ GOLDEN = {
     },
     "criterion13": {  # 11 files
         "allan.csv":
-            "8027fbb77599e3dc9d53964f9ad7a85d332386340a89fb227ba864338dfc9e7e",
+            "183c6546d9d9d81819e5386e96fc53076904f8490a638510c008812664697f7e",
         "diagnostics.csv":
             "f0273dcd6178d112b75df892df34c1bf6fe08575abe14da8b11f8c98b57b0d47",
         "estimate.csv":
@@ -90,11 +90,11 @@ GOLDEN = {
         "setpoints.csv":
             "2186b361df4f21e696fc0f61295c3670c65bb0f214fe7471afdaf39cd1dcd9e4",
         "shifts.csv":
-            "35f87d51815f530b41a146674050cb4b867bf0e0c515ba4882932d0a3174f14a",
+            "21f78f407289ee779aea644a6d6aa0fd233c77c0671d152d2a246c3d7c257bd9",
         "summary.json":
-            "e0b793d1735b5b5296400c6afcd2858af75a6c90bcdae0048f0d7f86d3658ede",
+            "4df979c9d28607b9c28cfd38528b306aa36b70b1c2b51c05be943a928f55d5bc",
         "temperature.csv":
-            "2001f8654dd478b84a6d70d1bd2e5ced333d36c0521e73330082a87286727c41",
+            "35e6d2c3c7aea654c3ffa3996d652e2a546aafda7b87aca0790f1dc35301d8c1",
         "timeline.csv":
             "1ba230292e4e61ec880d531dd6e06f525eb8cc1b538a8913004661feed72d033",
         "truth.csv":
@@ -102,7 +102,7 @@ GOLDEN = {
     },
     "small": {  # 4 files
         "allan.csv":
-            "26232c8eb15572a2dc8b1a454a672ba458f00b7c975c668dad8bea765f38f249",
+            "dd2dc13e90a2dc0580eac900ae8d67603f99774e9a1b5460cb74a13d8e74536a",
         "crb.json":
             "c3df7d27aa08bc96d256f8a7bda14d890e1d43cf55d4e9698edeb6d8ae56c80d",
         "gamma_null.csv":

@@ -23,7 +23,6 @@ def test_default_grid():
 
 
 def test_default_shape_parameters():
-    assert SHAPE.kind == "double_lorentzian"
     assert SHAPE.centers[1] - SHAPE.centers[0] == pytest.approx(6e6)
     assert 0.5 * (SHAPE.centers[0] + SHAPE.centers[1]) == pytest.approx(2.87e9)
     assert SHAPE.contrasts == (0.1506, 0.1205)
@@ -52,25 +51,17 @@ def test_lineshape_limits():
 
 def test_lineshape_validation():
     with pytest.raises(ValueError):
-        odmr.Lineshape.double(contrasts=(0.6, 0.6))
-    with pytest.raises(ValueError):
-        odmr.Lineshape.from_table(GRID, np.full(GRID.size, 2.0))
-    with pytest.raises(ValueError):
-        odmr.Lineshape(kind="bogus")
+        odmr.Lineshape(centers=SHAPE.centers, contrasts=(0.6, 0.6), hwhms=SHAPE.hwhms)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_table_rejects_non_finite_values(bad):
-    # NaN passes both level range checks and the frequency order check,
-    # since every comparison with it is False
+    # a non-finite entry of the calibration sweep's count table is named as
+    # such, not left to end the fit as a failure to converge
+    counts = 1000.0 * SHAPE.value(GRID)
+    counts[7] = bad
     with pytest.raises(ValueError, match="finite"):
-        odmr.Lineshape.from_table(GRID, np.full(GRID.size, bad))
-    freqs = GRID.copy()
-    freqs[7] = bad
-    with pytest.raises(ValueError, match="finite"):
-        odmr.Lineshape.from_table(freqs, np.ones(GRID.size))
-    with pytest.raises(ValueError, match="finite"):
-        odmr.build_interpolation(GRID, np.full(GRID.size, bad), 1)
+        odmr.fit_lineshape(GRID, counts, 100)
 
 
 def test_derivative_matches_finite_difference():
@@ -79,19 +70,6 @@ def test_derivative_matches_finite_difference():
     numeric = (SHAPE.value(f + h) - SHAPE.value(f - h)) / (2 * h)
     np.testing.assert_allclose(SHAPE.derivative(f), numeric, rtol=1e-5,
                                atol=1e-15)
-
-
-def test_table_lineshape_interp_and_edges():
-    table = odmr.Lineshape.from_table(GRID, SHAPE.value(GRID, 0.0))
-    inside = table.value(GRID[:5] + 100.0, 0.0)
-    assert np.isfinite(inside).all()
-    outside = table.value(np.array([GRID[0] - 5e6, GRID[-1] + 5e6]), 0.0)
-    np.testing.assert_allclose(outside, 1.0)
-    assert table.derivative(np.array([GRID[0] - 5e6]))[0] == 0.0
-    mid = 0.5 * (GRID[3] + GRID[4])
-    seg_slope = (table.table_L[4] - table.table_L[3]) / (GRID[4] - GRID[3])
-    assert table.derivative(np.array([mid]))[0] == pytest.approx(seg_slope,
-                                                                 rel=1e-9)
 
 
 # -------------------------------------------------------------------- scan
@@ -103,15 +81,62 @@ def test_synthesize_scan_statistics():
     np.testing.assert_allclose(counts, mu, rtol=0.02)
 
 
-def test_build_interpolation_normalization():
+def _shape_params(shape):
+    return np.array([*shape.centers, *shape.contrasts, *shape.hwhms])
+
+
+def test_fit_lineshape_normalization():
+    # the fitted amplitude divides out: the reference is 1 off resonance and
+    # follows the true levels within the sweep's photon noise
     counts = odmr.synthesize_scan(SHAPE, 10.0, 0.0, substream(5, "odmr-photons"),
                                   n_scans=50000)
-    table = odmr.build_interpolation(GRID, counts, 50000)
-    assert table.kind == "interpolation"
-    assert table.table_L.max() <= 1.05
-    # edge plateau normalizes to ~1
-    assert table.table_L[:5].mean() == pytest.approx(1.0, abs=0.01)
-    assert table.table_L.min() < 0.8
+    fitted = odmr.fit_lineshape(GRID, counts, 50000)
+    np.testing.assert_allclose(fitted.value(GRID), SHAPE.value(GRID), atol=1e-3)
+    np.testing.assert_allclose(fitted.value(np.array([2.0e9, 3.7e9])), 1.0, atol=1e-3)
+
+
+def test_fit_lineshape_recovers_a_noise_free_shape():
+    # centres 2 MHz off nominal, unequal widths and contrasts
+    truth = odmr.Lineshape(centers=(SHAPE.centers[0] - 2e6, SHAPE.centers[1] + 2e6),
+                           contrasts=(0.12, 0.17), hwhms=(5e6, 7.5e6))
+    fitted = odmr.fit_lineshape(GRID, 1000 * 8.0 * truth.value(GRID), 1000)
+    np.testing.assert_allclose(_shape_params(fitted), _shape_params(truth), rtol=1e-6)
+
+
+def test_fit_lineshape_matches_curve_fit():
+    # scipy is the reference only: the package fits with numpy alone
+    from scipy.optimize import curve_fit
+
+    counts = odmr.synthesize_scan(SHAPE, 10.0, 0.0, substream(9, "calibration"),
+                                  n_scans=100000)
+    fitted = odmr.fit_lineshape(GRID, counts, 100000)
+    x = (GRID - odmr.DEFAULT_CENTER_HZ) / 1e6
+
+    def model(x, a, m1, m2, c1, c2, g1, g2):
+        return a * lorentzian_pair(x, 0.5 * (m1 + m2), m2 - m1, g1, g2, c1, c2)
+
+    p0 = (10.0, -3.0, 3.0, *SHAPE.contrasts, 6.0, 6.0)
+    popt, _ = curve_fit(model, x, counts / 100000, p0=p0, xtol=1e-14, ftol=1e-14)
+    want = [*(odmr.DEFAULT_CENTER_HZ + 1e6 * popt[1:3]), *popt[3:5], *(1e6 * popt[5:7])]
+    np.testing.assert_allclose(_shape_params(fitted), want, rtol=1e-6)
+
+
+def test_fit_lineshape_reference_keeps_noise_free_shifts():
+    # an interpolation table on this grid missed noise-free shifts by up to 62 Hz
+    fitted = odmr.fit_lineshape(GRID, 1e6 * SHAPE.value(GRID), 1000)
+    truth = np.linspace(-1e6, 1e6, 41)
+    delta_f, _, _, converged = odmr.fit_shifts(1e4 * SHAPE.value(GRID, truth[:, None]),
+                                               GRID, fitted)
+    assert converged.all()
+    np.testing.assert_allclose(delta_f, truth, rtol=0, atol=5.0)
+
+
+def test_fit_lineshape_rejects_a_sweep_it_cannot_take():
+    with pytest.raises(ValueError, match="n_scans must be >= 1"):
+        odmr.fit_lineshape(GRID, 1000.0 * SHAPE.value(GRID), 0)
+    # no counts: the fit starts at a zero amplitude, where it cannot move
+    with pytest.raises(ValueError, match="calibration fit .* did not converge"):
+        odmr.fit_lineshape(GRID, np.zeros(GRID.size), 100)
 
 
 def test_fit_shift_recovers_truth():
@@ -134,9 +159,9 @@ def test_fit_shift_flags_boundary():
     assert not converged[0]
 
 
-TABLE = odmr.build_interpolation(
+FITTED = odmr.fit_lineshape(
     GRID, odmr.synthesize_scan(SHAPE, 10.0, 0.0, substream(21, "table"), n_scans=2000), 2000)
-FIT_SHAPES = {"double": SHAPE, "table": TABLE}
+FIT_SHAPES = {"double": SHAPE, "fitted": FITTED}
 
 
 @settings(max_examples=60, deadline=None)
@@ -357,8 +382,8 @@ def test_block_draws_match_per_bin_scans():
     rng = substream(17, "odmr-photons")
     scans = np.array([odmr.synthesize_scan(SHAPE, 10.0, drift(t), rng, n_scans=160)
                       for t in 0.4 * np.arange(n_bins)])
-    table = odmr.build_interpolation(GRID, scans.sum(axis=0), n_bins * 160)
-    fits = [reference_fit_shift(c, GRID, table) for c in scans]
+    fitted = odmr.fit_lineshape(GRID, scans.sum(axis=0), n_bins * 160)
+    fits = [reference_fit_shift(c, GRID, fitted) for c in scans]
     assert series.times.size == n_bins and n_bins % _CHUNK_ROWS
     delta_f, lam0, sigma, converged = _fit_fields(fits)
     _assert_bits_equal((series.delta_f, series.lam0, series.sigma), (delta_f, lam0, sigma))
