@@ -142,11 +142,11 @@ def fit_lineshape(freqs, total_counts, n_scans: int) -> Lineshape:
 
     Unweighted Levenberg-Marquardt of A * L(f) with the analytic Jacobian, in
     MHz about DEFAULT_CENTER_HZ, over the centres and the logs of A, the
-    contrasts and the widths, which so stay positive. It starts from the
-    default shape, with A the median of the top decile of the mean counts,
-    and has converged once an accepted step lowers the sum of squares by at
-    most _LM_FTOL of itself. Raises ValueError when it does not converge in
-    _LM_MAX_STEPS trial steps.
+    contrasts and the widths, so that those stay positive. It starts from the
+    default shape, with A the median of the top decile of the mean counts, and
+    has converged once an accepted step lowers the sum of squares by at most
+    _LM_FTOL of itself. Raises ValueError when it has not converged within
+    _LM_MAX_STEPS trial steps or meets a step it cannot solve for.
     """
     if n_scans < 1:
         raise ValueError("n_scans must be >= 1")
