@@ -414,13 +414,8 @@ def cmd_analyze(args) -> tuple[dict, str]:
 
     if kappa_inputs is not None:
         (shift_t, delta_f, sigma), (sp_t, sp_T) = kappa_inputs
-        levels = np.interp(shift_t, sp_t, sp_T)
-        # snap to the nearest commanded level so scatter during ramps
-        # does not smear the staircase groups
-        targets = np.unique(np.round(sp_T, 1))
-        snapped = targets[np.argmin(np.abs(levels[:, None] - targets[None, :]),
-                                    axis=1)]
-        cal = odmr.calibrate_kappa(snapped, delta_f, sigma_hz=sigma)
+        cal = _model("--shifts/--setpoints", odmr.calibrate_kappa,
+                     np.interp(shift_t, sp_t, sp_T), delta_f, sigma)
         summary["kappa_khz_per_C"] = [cal.kappa_khz_per_C, cal.sigma_khz_per_C]
 
     outputs["summary.json"] = partial(_write_json, summary)

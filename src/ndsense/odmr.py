@@ -454,35 +454,31 @@ def shift_series_to_temperature(series, cal: KappaCalibration) -> TemperatureSer
                              meta={"kappa_khz_per_C": cal.kappa_khz_per_C})
 
 
-def calibrate_kappa(temps_C, delta_f_hz, sigma_hz=None) -> KappaCalibration:
-    """Slope of mean frequency shift versus temperature setpoint.
+def calibrate_kappa(temps_C, delta_f_hz, sigma_hz) -> KappaCalibration:
+    """Slope of frequency shift versus temperature: one line through every
+    sample, weighted by 1/sigma_hz^2.
 
-    `temps_C` labels each shift with its setpoint; shifts are averaged
-    per distinct level, then a variance-weighted line is fitted through
-    the level means. Needs at least 3 distinct levels.
+    `temps_C` is each shift's temperature (the CLI interpolates the setpoint
+    at the bin start, ramps included). A sample with sigma inf, as
+    `fit_shifts` states for a singular fit, carries no weight and is
+    dropped. Raises ValueError for arrays that are not matching 1-D, a
+    sigma that is NaN, zero or negative, a non-finite temperature or shift
+    on a weighted sample, or fewer than 3 distinct weighted temperatures.
     """
     t = np.asarray(temps_C, dtype=float)
     df = np.asarray(delta_f_hz, dtype=float)
-    if t.shape != df.shape or t.ndim != 1:
-        raise ValueError("temps_C and delta_f_hz must be matching 1-D arrays")
-    levels = np.unique(t)
-    if levels.size < 3:
+    sig = np.asarray(sigma_hz, dtype=float)
+    if not t.shape == df.shape == sig.shape or t.ndim != 1:
+        raise ValueError("temps_C, delta_f_hz and sigma_hz must be matching 1-D arrays")
+    if not (sig > 0.0).all():
+        raise ValueError("sigma_hz must be positive (inf for no weight)")
+    weighted = sig < np.inf
+    t, df, sig = t[weighted], df[weighted], sig[weighted]
+    if not (np.isfinite(t).all() and np.isfinite(df).all()):
+        raise ValueError("temps_C and delta_f_hz must be finite where sigma_hz is")
+    if np.unique(t).size < 3:
         raise ValueError("need at least 3 distinct temperature levels")
-    means = np.empty(levels.size)
-    errs = np.empty(levels.size)
-    for i, lv in enumerate(levels):
-        sel = t == lv
-        vals = df[sel]
-        means[i] = vals.mean()
-        if vals.size > 1:
-            errs[i] = vals.std(ddof=1) / np.sqrt(vals.size)
-        elif sigma_hz is not None:
-            errs[i] = np.asarray(sigma_hz, dtype=float)[sel][0]
-        else:
-            raise ValueError("single-sample level without a provided sigma")
-    if (errs <= 0).any():
-        errs = np.where(errs <= 0, max(errs.max(), 1.0), errs)
-    slope, sigma_slope, _, _ = weighted_line(levels, means, 1.0 / errs ** 2)
+    slope, sigma_slope, _, _ = weighted_line(t, df, 1.0 / sig ** 2)
     return KappaCalibration(kappa_khz_per_C=slope / 1e3,
                             sigma_khz_per_C=sigma_slope / 1e3)
 

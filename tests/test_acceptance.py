@@ -171,8 +171,8 @@ def test_criterion_05_kappa_calibration():
                                         fit_shape=reference)
     level = np.minimum((series.times // 300.0).astype(int), 8)
     settled = (series.times - level * 300.0) >= 120.0
-    cal = odmr.calibrate_kappa(4.0 * level[settled],
-                               series.delta_f[settled])
+    cal = odmr.calibrate_kappa(4.0 * level[settled], series.delta_f[settled],
+                               series.sigma[settled])
     ok = (abs(cal.kappa_khz_per_C + 60.0) <= 2.0 * cal.sigma_khz_per_C
           and 0.1 <= cal.sigma_khz_per_C <= 1.2)
     _verdict(5, "kappa calibration", ok,

@@ -674,22 +674,58 @@ def test_analyze_temperature_allan(tmp_path, odmr_run):
     assert summary["sensitivity_C_per_sqrtHz"] > 0
 
 
-def test_analyze_kappa_calibration(tmp_path, odmr_run):
+@pytest.fixture(scope="module")
+def criterion13_run(tmp_path_factory):
+    """Criterion 13's run: 5 s dwells, far shorter than the setpoint's settling
+    time, so most bins sit on a ramp."""
+    root = tmp_path_factory.mktemp("criterion13_run")
+    cfg = brownian_cfg(
+        seed=131, duration=20.0,
+        tracker={"enabled": True, "brightness_cps": 2e6},
+        schedule={"kind": "staircase", "start_C": 0.0, "step_C": 4.0,
+                  "dwell_s": 5.0, "n_levels": 3},
+        odmr={"enabled": True, "lam0": 10.0,
+              "kappa_khz_per_C": -60.0, "bin_s": 0.4},
+        analysis={"segment": {"window_steps": 75}})
+    path = write_config(root / "cfg.json", cfg)
+    out = root / "out"
+    assert cli.main(["simulate", "--config", path, "--out-dir", str(out)]) == 0
+    return out
+
+
+def test_analyze_kappa_calibration(tmp_path, odmr_run, criterion13_run):
     cfg = write_config(tmp_path / "cfg.json",
                        {"schema_version": 1, "seed": 1})
+    for run in (odmr_run, criterion13_run):
+        out = tmp_path / run.parent.name
+        assert cli.main(["analyze", "--config", cfg,
+                         "--traj", str(run / "truth.csv"),
+                         "--shifts", str(run / "shifts.csv"),
+                         "--setpoints", str(run / "setpoints.csv"),
+                         "--out-dir", str(out)]) == 0
+        with open(out / "summary.json") as fh:
+            summary = json.load(fh)
+        kappa, sigma = summary["kappa_khz_per_C"]
+        # every bin, ramps included, against the setpoint at its start: no
+        # bias beyond the stated sigma
+        assert sigma > 0.0, run
+        assert abs(kappa + 60.0) <= 3.0 * sigma, (run, kappa, sigma)
+
+
+def test_kappa_from_fewer_than_three_temperatures_exits_1_before_writing(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", brownian_cfg(
+        duration=4.0, schedule={"kind": "constant", "T_C": 25.0},
+        odmr={"enabled": True, "lam0": 10.0, "kappa_khz_per_C": -60.0, "bin_s": 0.4}))
+    run = tmp_path / "run"
+    assert cli.main(["simulate", "--config", cfg, "--out-dir", str(run)]) == 0
     out = tmp_path / "out"
-    assert cli.main(["analyze", "--config", cfg,
-                     "--traj", str(odmr_run / "truth.csv"),
-                     "--shifts", str(odmr_run / "shifts.csv"),
-                     "--setpoints", str(odmr_run / "setpoints.csv"),
-                     "--out-dir", str(out)]) == 0
-    with open(out / "summary.json") as fh:
-        summary = json.load(fh)
-    kappa, sigma = summary["kappa_khz_per_C"]
-    # short dwells and ramp smearing leave a bias; the sign and scale
-    # still have to come out right
-    assert -90.0 < kappa < -25.0
-    assert 0.0 < sigma < 10.0
+    assert cli.main(["analyze", "--config", cfg, "--traj", str(run / "truth.csv"),
+                     "--shifts", str(run / "shifts.csv"),
+                     "--setpoints", str(run / "setpoints.csv"),
+                     "--out-dir", str(out)]) == 1
+    assert ("config error: --shifts/--setpoints: need at least 3 distinct temperature"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("given, missing", [("--shifts", "--setpoints"),

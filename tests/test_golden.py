@@ -91,8 +91,10 @@ GOLDEN = {
             "2186b361df4f21e696fc0f61295c3670c65bb0f214fe7471afdaf39cd1dcd9e4",
         "shifts.csv":
             "21f78f407289ee779aea644a6d6aa0fd233c77c0671d152d2a246c3d7c257bd9",
+        # its kappa is one 1/sigma^2-weighted line through every shift bin
+        # against the setpoint at the bin start, ramps included
         "summary.json":
-            "4df979c9d28607b9c28cfd38528b306aa36b70b1c2b51c05be943a928f55d5bc",
+            "6f98335e69fb821f3d5328a95f390a009e37c7ac6e5a3d48d0b803d95faebc13",
         "temperature.csv":
             "35e6d2c3c7aea654c3ffa3996d652e2a546aafda7b87aca0790f1dc35301d8c1",
         "timeline.csv":

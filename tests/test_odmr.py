@@ -461,16 +461,73 @@ def test_temperature_series_csv(tmp_path):
 def test_calibrate_kappa_exact_line():
     temps = np.repeat([0.0, 4.0, 8.0, 12.0], 50)
     shifts = -60e3 * temps
-    cal = odmr.calibrate_kappa(temps, shifts)
+    cal = odmr.calibrate_kappa(temps, shifts, np.full(temps.size, 2e5))
     assert cal.kappa_khz_per_C == pytest.approx(-60.0, rel=1e-9)
     with pytest.raises(ValueError):
-        odmr.calibrate_kappa(np.repeat([0.0, 4.0], 5), np.zeros(10))
+        odmr.calibrate_kappa(np.repeat([0.0, 4.0], 5), np.zeros(10), np.ones(10))
 
 
 def test_calibrate_kappa_noisy():
     rng = np.random.default_rng(23)
     temps = np.repeat([0.0, 4.0, 8.0, 12.0, 16.0], 200)
     shifts = -60e3 * temps + 2e5 * rng.standard_normal(temps.size)
-    cal = odmr.calibrate_kappa(temps, shifts)
+    cal = odmr.calibrate_kappa(temps, shifts, np.full(temps.size, 2e5))
     assert cal.sigma_khz_per_C > 0
     assert abs(cal.kappa_khz_per_C + 60.0) < 3 * cal.sigma_khz_per_C
+
+
+@st.composite
+def kappa_samples(draw):
+    """Temperatures off any level grid (at least 3 distinct, spread over at
+    least 0.1 C), positive sigmas, a kappa (kHz/C) and a shift offset (Hz)."""
+    temps = draw(st.lists(st.floats(-50.0, 150.0), min_size=3, max_size=40).filter(
+        lambda ts: len(set(ts)) >= 3 and max(ts) - min(ts) >= 0.1))
+    sigma = draw(st.lists(st.floats(1e2, 1e6), min_size=len(temps), max_size=len(temps)))
+    kappa = draw(st.floats(1.0, 500.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    offset = draw(st.floats(-1e6, 1e6))
+    return np.array(temps), np.array(sigma), kappa, offset
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=kappa_samples(), data=st.data())
+def test_calibrate_kappa_properties(case, data):
+    temps, sigma, kappa, offset = case
+    shifts = offset + kappa * 1e3 * temps
+    cal = odmr.calibrate_kappa(temps, shifts, sigma)
+    assert cal.kappa_khz_per_C == pytest.approx(kappa, rel=1e-9)
+
+    # a sample with sigma inf carries no weight, wherever it sits
+    k = data.draw(st.integers(0, temps.size), label="inf sample at")
+    t_inf = data.draw(st.floats(-1e3, 1e3), label="its temperature")
+    f_inf = data.draw(st.floats(allow_nan=False, allow_infinity=False), label="its shift")
+    more = odmr.calibrate_kappa(np.insert(temps, k, t_inf), np.insert(shifts, k, f_inf),
+                                np.insert(sigma, k, np.inf))
+    assert (more.kappa_khz_per_C.hex(), more.sigma_khz_per_C.hex()) == (
+        cal.kappa_khz_per_C.hex(), cal.sigma_khz_per_C.hex())
+
+    i = data.draw(st.integers(0, temps.size - 1), label="bad sample")
+    for bad in (0.0, -sigma[i], np.nan):
+        with pytest.raises(ValueError, match="sigma_hz must be positive"):
+            odmr.calibrate_kappa(temps, shifts, np.where(np.arange(temps.size) == i,
+                                                         bad, sigma))
+    with pytest.raises(ValueError, match="must be finite"):
+        odmr.calibrate_kappa(temps, np.where(np.arange(temps.size) == i, np.nan, shifts),
+                             sigma)
+    with pytest.raises(ValueError, match="matching 1-D"):
+        odmr.calibrate_kappa(temps, shifts[:-1], sigma)
+    with pytest.raises(ValueError, match="matching 1-D"):
+        odmr.calibrate_kappa(temps, shifts, sigma[:-1])
+    with pytest.raises(ValueError, match="matching 1-D"):
+        odmr.calibrate_kappa(temps[:, None], shifts[:, None], sigma[:, None])
+
+
+@settings(max_examples=100, deadline=None)
+@given(levels=st.lists(st.floats(-50.0, 150.0), min_size=1, max_size=2, unique=True),
+       data=st.data())
+def test_calibrate_kappa_needs_three_temperatures(levels, data):
+    temps = np.array(data.draw(st.lists(st.sampled_from(levels), min_size=1, max_size=40),
+                               label="temps"))
+    sigma = np.array(data.draw(st.lists(st.floats(1e2, 1e6), min_size=temps.size,
+                                        max_size=temps.size), label="sigma"))
+    with pytest.raises(ValueError, match="at least 3 distinct"):
+        odmr.calibrate_kappa(temps, -60e3 * temps, sigma)
