@@ -399,10 +399,10 @@ class KappaCalibration:
     sigma_khz_per_C: float
 
     def __post_init__(self):
-        if self.kappa_khz_per_C == 0:
-            raise ValueError("kappa must be nonzero")
-        if self.sigma_khz_per_C <= 0:
-            raise ValueError("sigma_kappa must be positive")
+        if not (self.kappa_khz_per_C != 0 and math.isfinite(self.kappa_khz_per_C)):
+            raise ValueError("kappa must be nonzero and finite")
+        if not (self.sigma_khz_per_C > 0 and math.isfinite(self.sigma_khz_per_C)):
+            raise ValueError("sigma_kappa must be positive and finite")
 
 
 def shift_to_temperature(delta_f_hz, cal: KappaCalibration,
@@ -463,7 +463,9 @@ def calibrate_kappa(temps_C, delta_f_hz, sigma_hz) -> KappaCalibration:
     `fit_shifts` states for a singular fit, carries no weight and is
     dropped. Raises ValueError for arrays that are not matching 1-D, a
     sigma that is NaN, zero or negative, a non-finite temperature or shift
-    on a weighted sample, or fewer than 3 distinct weighted temperatures.
+    on a weighted sample, fewer than 3 distinct weighted temperatures, or
+    sigmas so far from 1 Hz (below about 1e-154 or above about 1e154) that
+    the line comes out non-finite.
     """
     t = np.asarray(temps_C, dtype=float)
     df = np.asarray(delta_f_hz, dtype=float)
@@ -478,7 +480,10 @@ def calibrate_kappa(temps_C, delta_f_hz, sigma_hz) -> KappaCalibration:
         raise ValueError("temps_C and delta_f_hz must be finite where sigma_hz is")
     if np.unique(t).size < 3:
         raise ValueError("need at least 3 distinct temperature levels")
-    slope, sigma_slope, _, _ = weighted_line(t, df, 1.0 / sig ** 2)
+    # a sigma whose 1/sigma^2 overflows or underflows gives a non-finite line,
+    # which KappaCalibration rejects
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        slope, sigma_slope, _, _ = weighted_line(t, df, 1.0 / sig ** 2)
     return KappaCalibration(kappa_khz_per_C=slope / 1e3,
                             sigma_khz_per_C=sigma_slope / 1e3)
 

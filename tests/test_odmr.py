@@ -443,8 +443,9 @@ def test_shift_to_temperature():
     # quadrature of read noise and calibration uncertainty
     expect = np.hypot(6e3 / 60e3, 1.0 * 0.4 / 60.0)
     assert sig == pytest.approx(expect, rel=1e-9)
-    with pytest.raises(ValueError):
-        odmr.KappaCalibration(kappa_khz_per_C=0.0, sigma_khz_per_C=0.4)
+    for kappa, sigma in ((0.0, 0.4), (np.nan, 0.4), (-60.0, np.nan), (-60.0, np.inf)):
+        with pytest.raises(ValueError):
+            odmr.KappaCalibration(kappa_khz_per_C=kappa, sigma_khz_per_C=sigma)
 
 
 def test_temperature_series_csv(tmp_path):
@@ -513,6 +514,11 @@ def test_calibrate_kappa_properties(case, data):
     with pytest.raises(ValueError, match="must be finite"):
         odmr.calibrate_kappa(temps, np.where(np.arange(temps.size) == i, np.nan, shifts),
                              sigma)
+    # 1/sigma^2 overflows to inf for every sigma below about 1e-154, underflows
+    # for every sigma above about 1e154: the line would be NaN
+    for extreme in (1e-200, 1e200):
+        with pytest.raises(ValueError, match="nonzero and finite"):
+            odmr.calibrate_kappa(temps, shifts, np.full(temps.size, extreme))
     with pytest.raises(ValueError, match="matching 1-D"):
         odmr.calibrate_kappa(temps, shifts[:-1], sigma)
     with pytest.raises(ValueError, match="matching 1-D"):
