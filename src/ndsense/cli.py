@@ -295,6 +295,15 @@ def _read_input(reader, path, *args):
         raise ConfigError(msg if msg.startswith(path) else f"{path}: {msg}") from exc
 
 
+def _tag_number(path: str, key: str, value: str) -> float:
+    """An input's ``#key=value`` tag, which must pass the ``_number`` rule."""
+    try:
+        value = float(value)
+    except ValueError:
+        pass
+    return _number(value, f"{path}: #{key}")
+
+
 def _fit_D(traj: Trajectory, an: dict):
     n = traj.points.shape[0]
     # capped at the trajectory length, so that a huge max_lag_s divides to no inf
@@ -398,9 +407,10 @@ def cmd_analyze(args) -> tuple[dict, str]:
     med = cfg.get("medium", {})
     temps = [t.meta.get("temperature_C") for t in trajs]
     if len(trajs) >= 3 and _VISCOUS_FIELDS.keys() <= med.keys() and None not in temps:
+        temps = [_tag_number(path, "temperature_C", temp) for path, temp in zip(args.traj, temps)]
         # the first trajectory's fit is the one summarised above
         fits = [dfit] + [_fit_D(t, an)[1] for t in trajs[1:]]
-        pairs = [(float(temp), fit.D) for temp, fit in zip(temps, fits)]
+        pairs = [(temp, fit.D) for temp, fit in zip(temps, fits)]
         sig = [fit.sigma for fit in fits]
         if not all(np.isfinite(s) and s > 0 for s in sig):
             sig = None

@@ -445,31 +445,21 @@ def msd(traj: Trajectory, axes: str = "xy", lags=None, variance: str = "cov",
                           "floored": sat, "variance": variance})
 
 
-def _fit_mask(curve: MsdCurve, fit_range):
-    if fit_range is None:
-        return np.ones(curve.taus.size, dtype=bool)
-    lo, hi = fit_range
-    return (curve.taus >= lo) & (curve.taus <= hi)
-
-
-def fit_diffusion(curve: MsdCurve, fit_range=None, through_origin: bool = True) -> DiffusionFit:
+def fit_diffusion(curve: MsdCurve, through_origin: bool = True) -> DiffusionFit:
     """Diffusion coefficient from MSD = 2 * n_dims * D * tau.
 
-    A variance-weighted linear fit over `fit_range` (s), through the
-    origin by default; with ``through_origin=False`` a free intercept
-    absorbs static localization noise and motion blur.
+    A variance-weighted linear fit over every lag, through the origin by
+    default; with ``through_origin=False`` a free intercept, which needs two
+    lags, absorbs static localization noise and motion blur.
     """
     two_d = 2.0 * curve.n_dims
     floor = float(np.asarray(curve.meta.get("noise_floor_nm2", NOISE_FLOOR_NM2)))
 
-    mask = _fit_mask(curve, fit_range)
-    taus = curve.taus[mask]
-    vals = curve.msd[mask]
-    var = curve.var[mask]
+    taus, vals, var = curve.taus, curve.msd, curve.var
     if taus.size < (1 if through_origin else 2):
-        raise ValueError("fit range selects too few points")
+        raise ValueError("too few lags to fit")
     if (vals <= 0).any():
-        raise ValueError("non-positive MSD in fit range")
+        raise ValueError("non-positive MSD")
     w = np.where(var > 0, 1.0 / np.where(var > 0, var, 1.0), 1.0)
 
     if through_origin:
@@ -490,8 +480,11 @@ def fit_diffusion(curve: MsdCurve, fit_range=None, through_origin: bool = True) 
 
 
 def anomalous_exponent(curve: MsdCurve, fit_range=None) -> ExponentFit:
-    """Log-log weighted regression slope of MSD versus lag."""
-    mask = _fit_mask(curve, fit_range)
+    """Log-log weighted regression slope of MSD versus lag, over the lags
+    in `fit_range` (s) if one is given."""
+    mask = np.ones(curve.taus.size, dtype=bool)
+    if fit_range is not None:
+        mask = (curve.taus >= fit_range[0]) & (curve.taus <= fit_range[1])
     taus = curve.taus[mask]
     vals = curve.msd[mask]
     var = curve.var[mask]

@@ -91,56 +91,31 @@ def _gauss_legendre(n: int) -> tuple:
 _erfc = np.vectorize(math.erfc, otypes=[float])
 
 
-def _nct_cdf(t: float, df: int, nc: float) -> float:
-    """P(T <= t) for the non-central t T = (Z + nc) / (X / sqrt(df)), with Z
-    standard normal and X chi-distributed with df = 1, 2 or 3, by 96-point
-    Gauss-Legendre over whichever of Z and X the integrand is smoother in."""
+def _nct_tail(t: float, df: int, nc: float, upper: bool) -> float:
+    """P(T <= t), or P(T > t) if `upper`, for the non-central t
+    T = (Z + nc) / (X / sqrt(df)), with Z standard normal and X chi-distributed
+    with df = 1, 2 or 3: the integral over X = s of f_X(s) times the normal
+    probability of Z on that side of q s - nc, q = t / sqrt(df). That
+    probability turns within |q s - nc| < 12, and 96-point Gauss-Legendre runs
+    on the three spans that the ends of that band cut from [0, 12]. A lower
+    tail under 1e-18, which no quantile solves for, is not resolved."""
     x, w = _gauss_legendre(96)
-    r = math.sqrt(df)
     c = 2.0 ** (1.0 - 0.5 * df) / math.gamma(0.5 * df)  # X has pdf c s^(df-1) exp(-s^2/2)
-    if t >= r:
-        # P(Z + nc <= 0) plus the integral over u = Z + nc > 0 of P(X >= r u / t),
-        # which changes on a scale t / r >= 1 of the normal's
-        lo = max(0.0, nc - 12.0)
-        half = 0.5 * (nc + 12.0 - lo)
-        u = half * (x + 1.0) + lo
-        s = r / t * u
-        sf = c * s ** (df - 2) * np.exp(-0.5 * s * s) if df > 1 else 0.0
-        if df % 2:
-            sf = sf + _erfc(s / math.sqrt(2.0))
-        g = np.exp(-0.5 * (u - nc) ** 2) * sf
-        return 0.5 * math.erfc(nc / math.sqrt(2.0)) + half / math.sqrt(2.0 * math.pi) * float(w @ g)
-    # the integral over X = s of P(Z <= t s / r - nc), which changes on a scale
-    # r / |t|; below t = -r the range shrinks with that scale
-    half = 6.0 * r / max(r, -t)
-    s = half * (x + 1.0)
-    g = c * s ** (df - 1) * np.exp(-0.5 * s * s) * _erfc((nc - t / r * s) / math.sqrt(2.0))
-    return 0.5 * half * float(w @ g)
-
-
-def _nct_sf(t: float, df: int, nc: float) -> float:
-    """P(T > t) for the non-central t of `_nct_cdf`, as the integral over
-    X = s of P(Z > t s / r - nc) rather than 1 - P(T <= t), so that a tail
-    far below the CDF's round-off keeps its relative accuracy. For t > 0
-    that probability falls from 1 to 0 within 12 / q of s = nc / q, q = t / r:
-    96-point Gauss-Legendre runs on each side of where the fall begins, up
-    to s = 12, past which X has no mass that counts."""
-    x, w = _gauss_legendre(96)
-    r = math.sqrt(df)
-    c = 2.0 ** (1.0 - 0.5 * df) / math.gamma(0.5 * df)
-    q = t / r
-    cut, end = (min(max(nc + d, 0.0) / q, 12.0) if q > 0 else 12.0 for d in (-12.0, 12.0))
+    q = t / math.sqrt(df)
+    cuts = sorted(min(max((nc + d) / q, 0.0), 12.0) for d in (-12.0, 12.0)) if q else []
+    lo = np.array([0.0, *cuts])
+    half = 0.5 * (np.array([*cuts, 12.0]) - lo)
+    s = half[:, None] * (x + 1.0) + lo[:, None]  # one row of nodes per span
+    sign = 1.0 if upper else -1.0
+    g = c * s ** (df - 1) * np.exp(-0.5 * s * s) * _erfc(sign * (q * s - nc) / math.sqrt(2.0))
     total = 0.0
-    for lo, hi in ((0.0, cut), (cut, end)):
-        half = 0.5 * (hi - lo)
-        s = half * (x + 1.0) + lo
-        g = c * s ** (df - 1) * np.exp(-0.5 * s * s) * _erfc((q * s - nc) / math.sqrt(2.0))
-        total += 0.5 * half * float(w @ g)
+    for h, row in zip(half.tolist(), g):
+        total += 0.5 * h * float(w @ row)
     return total
 
 
 def _nct_pdf(t: np.ndarray, df: int, nc: float) -> np.ndarray:
-    """Density at each of `t` of the non-central t of `_nct_cdf`: the
+    """Density at each of `t` of the non-central t of `_nct_tail`: the
     integral over X = s of f_X(s) (s / r) phi(t s / r - nc), by 96-point
     Gauss-Legendre. The integrand peaks at the s* that solves
     (1 + q^2) s^2 - q nc s - df = 0, q = t / r, and its log has curvature
@@ -161,14 +136,15 @@ def _nct_pdf(t: np.ndarray, df: int, nc: float) -> np.ndarray:
 
 
 def _nct_ppf(p: float, df: int, nc: float) -> float:
-    """The t with P(T <= t) = p for the non-central t of `_nct_cdf`, by the
+    """The t with P(T <= t) = p for the non-central t of `_nct_tail`, by the
     Illinois variant of regula falsi to the last representable step. Above
     p = 0.5 it solves P(T > t) = 1 - p instead, where 1 - p is exact."""
     if p == 1.0:  # no finite t leaves a tail of 0
         return math.inf
 
     def f(t):
-        return _nct_cdf(t, df, nc) - p if p <= 0.5 else 1.0 - p - _nct_sf(t, df, nc)
+        return (_nct_tail(t, df, nc, False) - p if p <= 0.5
+                else 1.0 - p - _nct_tail(t, df, nc, True))
 
     a, fa = 0.0, f(0.0)
     b = -math.copysign(max(nc, 1.0), fa)  # towards the root from 0

@@ -280,6 +280,33 @@ def mp_nct_pdf(t: float, df: int, nc: float):
                     + mp.hyp1f1((v + 1) / 2, 0.5, z) / (mp.sqrt(u) * mp.gamma(v / 2 + 1)))
 
 
+def mp_nct_tail(t: float, df: int, nc: float, upper: bool):
+    """P(T <= t), or P(T > t) if `upper`, for the non-central t
+    T = (Z + nc) / (X / sqrt(df)), as an mpmath number: mpmath's quadrature
+    over X ~ chi(df) of P(Z <= t X / sqrt(df) - nc), or of its complement,
+    split where that probability turns and around the peak of the pdf's
+    integrand. The quadrature's tolerance is absolute, so the integrand is
+    scaled by a first estimate of the integral and integrated again."""
+    t, nc = mp.mpf(t), mp.mpf(nc)
+    c = mp.mpf(2) ** (1 - mp.mpf(df) / 2) / mp.gamma(mp.mpf(df) / 2)
+    q = t / mp.sqrt(df)
+    a = 1 + q * q
+    peak = (q * nc + mp.sqrt((q * nc) ** 2 + 4 * df * a)) / (2 * a)
+    width = 1 / mp.sqrt(a + df / peak ** 2)
+    cuts = {peak + k * width for k in (-12, -4, -1, 0, 1, 4, 12)}
+    if q:
+        cuts |= {(nc + d) / q for d in (-12, 0, 12)}
+    points = [mp.mpf(0), *sorted(s for s in cuts if s > 0), mp.inf]
+    sign = 1 if upper else -1
+
+    def f(s):
+        return (c * s ** (df - 1) * mp.exp(-s * s / 2)
+                * mp.erfc(sign * (q * s - nc) / mp.sqrt(2)) / 2)
+
+    first = mp.quad(f, points)
+    return first * mp.quad(lambda s: f(s) / first, points) if first else first
+
+
 def mp_nct_ppf(p: float, df: int, nc: float, start: float):
     """The t > 0 with P(T > t) = 1 - p for the non-central t
     T = (Z + nc) / (X / sqrt(df)), by Newton's method from `start` on

@@ -659,6 +659,26 @@ def test_analyze_radius_fit(tmp_path):
     assert np.isfinite(sigma)
 
 
+@pytest.mark.parametrize("tag, want", [("abc", '"abc"'), ("nan", "NaN"), ("inf", "Infinity")])
+def test_analyze_radius_fit_rejects_a_temperature_tag_that_is_no_number(tmp_path, capsys, tag,
+                                                                          want):
+    paths = []
+    for i, temp in enumerate(("33.0", tag, "39.0")):
+        traj = media.simulate_brownian(1e4, 400, 0.01, seed=61 + i)
+        traj.meta["temperature_C"] = temp
+        paths.append(str(tmp_path / f"truth{i}.csv"))
+        traj.to_csv(paths[-1])
+    out = tmp_path / "out"
+    argv = ["analyze", "--config", write_config(tmp_path / "an.json", brownian_cfg(
+        medium=VISCOUS_RUN)), "--out-dir", str(out)]
+    for p in paths:
+        argv += ["--traj", p]
+    assert cli.main(argv) == 1
+    assert f"config error: {paths[1]}: #temperature_C must be a finite number, not {want}" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_analyze_temperature_allan(tmp_path, odmr_run):
     cfg = write_config(tmp_path / "cfg.json",
                        {"schema_version": 1, "seed": 1})

@@ -436,9 +436,11 @@ def test_fit_diffusion_below_floor():
 
 
 def test_fit_diffusion_validation():
-    curve = power_law_curve()
-    with pytest.raises(ValueError):
-        rheology.fit_diffusion(curve, fit_range=(100.0, 200.0))
+    # a free intercept needs two lags; one lag still fits through the origin
+    curve = power_law_curve(alpha=1.0, n=1)
+    with pytest.raises(ValueError, match="too few lags"):
+        rheology.fit_diffusion(curve, through_origin=False)
+    assert rheology.fit_diffusion(curve).D == pytest.approx(2e3)
 
 
 def test_anomalous_exponent_exact_and_noisy():

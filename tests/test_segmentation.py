@@ -14,7 +14,8 @@ from ndsense import media, segmentation
 from ndsense.seeding import substream
 from ndsense.trajectory import Trajectory
 
-from _oracles import mc_directionality_null, mp_nct_pdf, mp_nct_ppf, reference_gamma
+from _oracles import (mc_directionality_null, mp_nct_pdf, mp_nct_ppf, mp_nct_tail,
+                      reference_gamma)
 
 
 NULL = segmentation.gamma_null(75, 2, 0.95)
@@ -101,6 +102,35 @@ def test_nct_quantile_near_one_matches_mpmath(M):
                 got = segmentation._nct_ppf(p, M, nc)
                 want = mp_nct_ppf(p, M, nc, start=got)
                 assert abs(got - want) <= 1e-9 * want, (nc, p)
+
+
+@pytest.mark.parametrize("M", [1, 2, 3])
+def test_nct_tails_match_scipy_or_mpmath(M):
+    # both tails at t below -sqrt(M), in [-sqrt(M), sqrt(M)), at 0 and from
+    # sqrt(M) out past the bulk: scipy's to 1e-12 relative where scipy's exceeds
+    # 1e-250 and agrees, and elsewhere mpmath's quadrature at 30 digits to 1e-12
+    # relative (scipy's lower tail at t < 0 is 1e-8 to 1e-6 off at nc = 5, and
+    # orders of magnitude off further out). A lower tail under 1e-18 is held to
+    # 1e-18 absolute only: the quadrature stops at X = 12 and does not resolve
+    # the integrand where the normal probability is far out in its own tail,
+    # and the quantile never solves for a lower tail under 2^-53
+    r = np.sqrt(M)
+    off = []
+    for nc in (1.0, 5.0, 30.0, 120.0, 600.0):
+        ts = r * np.array([-30.0, -3.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0, 0.3 * nc, nc, 3.0 * nc])
+        tails = {u: np.array([segmentation._nct_tail(t, M, nc, u) for t in ts])
+                 for u in (False, True)}
+        assert np.abs(tails[False] + tails[True] - 1.0).max() <= 1e-14
+        for upper, scipy_tail in ((False, nct.cdf), (True, nct.sf)):
+            want = scipy_tail(ts, M, nc)
+            for t, got, w in zip(ts.tolist(), tails[upper].tolist(), want.tolist()):
+                if w > 1e-250 and abs(got - w) <= 1e-12 * w:
+                    continue
+                with mp.workdps(30):
+                    w = float(mp_nct_tail(t, M, nc, upper))
+                if not abs(got - w) <= 1e-12 * w + (1e-300 if upper else 1e-18):
+                    off.append((nc, t, upper, got, w))
+    assert not off
 
 
 @pytest.mark.parametrize("N", [2, 10, 75, 500, 2000])
